@@ -36,37 +36,15 @@ MILLIPEDE_FASTFORWARD=0 cargo test --offline -q -p millipede \
 MILLIPEDE_FASTFORWARD=1 cargo test --offline -q -p millipede \
     --test fastforward_differential --test golden_digests
 
-echo "==> scheduler differential (MILLIPEDE_SCHEDULER=poll vs =wheel)"
-# The event-wheel engine must reproduce the polled schedule bit-for-bit:
-# the pinned golden digests and the randomized scheduler differentials
-# both run under each setting of the env knob, so a regression in either
-# engine (or in the env plumbing itself) fails CI.
-MILLIPEDE_SCHEDULER=poll cargo test --offline -q -p millipede \
-    --test golden_digests --test scheduler_differential
-MILLIPEDE_SCHEDULER=wheel cargo test --offline -q -p millipede \
-    --test golden_digests --test scheduler_differential
-
-echo "==> workload-family reference differential (both schedulers)"
-# The graph and dense families' acceptance bar: simulated observable
-# results match each kernel's plain-Rust host reference bit-exactly on all
-# eight variants, FF on and off, under both schedulers. The suite sets FF
-# and the scheduler per-combo itself; running it under both env settings
-# additionally covers the SimConfig::default() plumbing.
-MILLIPEDE_SCHEDULER=poll cargo test --offline -q -p millipede \
-    --test workload_reference
-MILLIPEDE_SCHEDULER=wheel cargo test --offline -q -p millipede \
-    --test workload_reference
-
-echo "==> decoded-interpreter differential (both schedulers)"
-# The predecoded micro-op interpreter must be bit-identical to the
-# reference enum interpreter (fixtures, kernels, randomized programs), and
-# every timing model must still validate end-to-end through it. The model
-# leg reads MILLIPEDE_SCHEDULER via SimConfig::default(), so running under
-# both settings covers decoded execution on both scheduler engines.
-MILLIPEDE_SCHEDULER=poll cargo test --offline -q -p millipede \
-    --test decoded_differential
-MILLIPEDE_SCHEDULER=wheel cargo test --offline -q -p millipede \
-    --test decoded_differential
+echo "==> differentials (golden digests, fast-forward, workload reference, decoded)"
+# The pinned golden digests, the randomized per-edge vs fast-forward
+# differentials (incl. random DFS periods), the graph/dense families'
+# host-reference bar on all eight variants, and the decoded-interpreter
+# lockstep. Each suite sets fast-forward per case itself, so one plain run
+# covers both settings of the driver loop.
+cargo test --offline -q -p millipede \
+    --test golden_digests --test fastforward_differential \
+    --test workload_reference --test decoded_differential
 
 echo "==> telemetry (MILLIPEDE_TELEMETRY=1 digests + trace export)"
 # Telemetry is observational: the golden digests must hold with it on, and

@@ -28,15 +28,18 @@ pub use run_impl::run;
 
 mod run_impl {
     use super::*;
+    use millipede_dram::Completion;
     use millipede_engine::{
-        instrument, mhz_for_period_ps, period_ps_for_mhz, AccessClass, Arena2, CoreStats,
-        DecodedProgram, DualClock, Edge, EventWheel, FlagGrid, Instrumented, Quiescence,
-        ReplayDeltas, StepEffect, ThreadCtx,
+        drive, instrument, mhz_for_period_ps, period_ps_for_mhz, AccessClass, Arena2, CoreStats,
+        DecodedProgram, DriveConfig, DualClock, FlagGrid, Instrumented, StepEffect, ThreadCtx,
+        TimingModel,
     };
     use millipede_mapreduce::ThreadGrid;
+    use millipede_mem::InputImage;
     use millipede_telemetry::Telemetry;
     use millipede_workloads::Workload;
     use std::collections::BTreeMap;
+    use std::sync::Arc;
 
     const TAG_PREFETCH_BASE: u64 = 1 << 32;
     const TAG_BYPASS: u64 = 1 << 33;
@@ -61,21 +64,35 @@ mod run_impl {
         burst: Arena2<u32>,
     }
 
-    /// Borrowing instrumentation view over the run loop's state,
-    /// implementing the shared [`Instrumented`] contract (see
-    /// `millipede_engine::instrument`).
-    struct Model<'a> {
-        pbuf: &'a RowPrefetchBuffer,
-        mc: &'a MemoryController,
-        stats: &'a CoreStats,
-        rate: &'a RateMatcher,
-        clock_audit: &'a InvariantChecker,
+    /// One Millipede processor's simulated state, driven by
+    /// [`millipede_engine::drive`].
+    struct Processor<'a> {
+        cfg: &'a MillipedeConfig,
+        decoded: Arc<DecodedProgram>,
+        image: InputImage,
+        row_bytes: u64,
+        slab_bytes: u64,
+        threads: Threads,
+        rr: Vec<usize>,
+        /// Per-corelet bypass store: row → slab-fill-arrived
+        /// (no-flow-control premature-eviction recovery path). Ordered so
+        /// the eviction of the lowest (oldest) row is deterministic.
+        bypass: Vec<BTreeMap<u64, bool>>,
+        pbuf: RowPrefetchBuffer,
+        mc: MemoryController,
+        rate: RateMatcher,
+        stats: CoreStats,
+        clock_audit: InvariantChecker,
+        halted: usize,
+        total_threads: usize,
         /// Current compute period (the rate matcher's DFS output).
         period: TimePs,
-        slots_per_cycle: u64,
+        /// Rate-matcher trace entries already converted to freq_step
+        /// events.
+        rate_drained: usize,
     }
 
-    impl Instrumented for Model<'_> {
+    impl Instrumented for Processor<'_> {
         fn prefix(&self) -> &'static str {
             "core"
         }
@@ -102,7 +119,7 @@ mod run_impl {
         }
 
         fn sample_epoch(&self, tel: &mut Telemetry, due: u64, at: TimePs, rewind: u64) {
-            let slots = rewind * self.slots_per_cycle;
+            let slots = rewind * self.cfg.corelets as u64;
             let p = self.pbuf.stats();
             tel.counter(
                 "core::pbuf",
@@ -154,6 +171,86 @@ mod run_impl {
         }
     }
 
+    impl TimingModel for Processor<'_> {
+        fn mc(&mut self) -> &mut MemoryController {
+            &mut self.mc
+        }
+
+        fn stats(&mut self) -> &mut CoreStats {
+            &mut self.stats
+        }
+
+        fn finished(&self) -> bool {
+            self.halted == self.total_threads
+        }
+
+        fn compute_edge(
+            &mut self,
+            now: TimePs,
+            cycle: u64,
+            clock: &mut DualClock,
+            tel: &mut Telemetry,
+        ) -> bool {
+            self.clock_audit.on_clock_edge(ClockDomain::Compute, now);
+            let flow_blocks_before = self.pbuf.stats().flow_blocks;
+            // Hand pending row prefetches to the controller.
+            while self.mc.free_slots() > 0 {
+                let Some((slot, row)) = self.pbuf.pop_fetch() else {
+                    break;
+                };
+                let req = Request {
+                    addr: row * self.row_bytes,
+                    bytes: self.row_bytes,
+                    tag: TAG_PREFETCH_BASE + slot as u64,
+                };
+                if self.mc.try_push(req, now).is_err() {
+                    self.pbuf.untake_fetch(slot);
+                    break;
+                }
+                self.stats.prefetches += 1;
+            }
+
+            let mut any_issued = false;
+            for c in 0..self.cfg.corelets {
+                self.stats.issue_slots += 1;
+                if self.corelet_tick(c, now, cycle, clock) {
+                    any_issued = true;
+                } else {
+                    self.stats.stall_slots += 1;
+                }
+            }
+            self.period = clock.compute_period();
+            // Telemetry: purely observational, never feeds back into
+            // simulated state, bit-identical results on or off.
+            if tel.enabled() {
+                let trace = self.rate.trace();
+                for &(at_cycle, mhz) in &trace[self.rate_drained..] {
+                    tel.event("core::rate", "freq_step", at_cycle, now, mhz);
+                }
+                self.rate_drained = trace.len();
+                for _ in flow_blocks_before..self.pbuf.stats().flow_blocks {
+                    tel.event("core::pbuf", "flow_block", cycle, now, 1.0);
+                }
+            }
+            any_issued
+        }
+
+        fn on_completion(&mut self, comp: Completion) {
+            if comp.tag >= TAG_BYPASS {
+                let corelet = ((comp.addr % self.row_bytes) / self.slab_bytes) as usize;
+                let row = comp.addr / self.row_bytes;
+                self.bypass[corelet].insert(row, true);
+            } else {
+                let slot = (comp.tag - TAG_PREFETCH_BASE) as usize;
+                self.pbuf.fill_complete(slot);
+            }
+        }
+
+        fn channel_edge_done(&mut self, now: TimePs, _room: bool) {
+            self.clock_audit.on_clock_edge(ClockDomain::Channel, now);
+        }
+    }
+
     /// Runs `workload` to completion on one Millipede processor.
     ///
     /// ```
@@ -188,261 +285,74 @@ mod run_impl {
         let row_bytes = layout.row_bytes;
         let slab_bytes = grid.slab_bytes(&layout);
         let slab_words = (slab_bytes / 4) as u32;
-        let total_rows = layout.total_rows();
-        let program = workload.program.clone();
-        let decoded = DecodedProgram::of(&program);
-        let image = workload.dataset.image.clone();
 
         let mut pbuf = RowPrefetchBuffer::new(
             cfg.pbuf_entries,
             cfg.corelets,
             slab_words,
-            total_rows,
+            layout.total_rows(),
             cfg.flow_control,
         );
         let mut mc = MemoryController::with_capacity(cfg.geometry, cfg.timing, cfg.dram_queue);
         let nominal = period_ps_for_mhz(cfg.compute_mhz);
-        let mut wheel = EventWheel::new(
-            DualClock::new(nominal, cfg.timing.channel_period_ps),
-            cfg.scheduler,
-        );
-        let mc_wake = wheel.register();
         let mut rate = RateMatcher::new(cfg.rate_match, nominal, cfg.rate_cooldown);
         pbuf.set_invariant_checks(cfg.invariant_checks);
         rate.set_invariant_checks(cfg.invariant_checks);
         mc.set_invariant_checks(cfg.invariant_checks);
-        let mut clock_audit = InvariantChecker::new(cfg.invariant_checks);
 
-        let mut threads = Threads {
-            t: Arena2::from_fn(cfg.corelets, cfg.contexts, |c, x| {
-                workload.make_ctx(&grid, c, x)
-            }),
-            done: FlagGrid::new(cfg.corelets, cfg.contexts),
-            stalled: FlagGrid::new(cfg.corelets, cfg.contexts),
-            at_barrier: FlagGrid::new(cfg.corelets, cfg.contexts),
-            burst: Arena2::from_fn(cfg.corelets, cfg.contexts, |_, _| 0u32),
+        let mut p = Processor {
+            cfg,
+            decoded: DecodedProgram::of(&workload.program),
+            image: workload.dataset.image.clone(),
+            row_bytes,
+            slab_bytes,
+            threads: Threads {
+                t: Arena2::from_fn(cfg.corelets, cfg.contexts, |c, x| {
+                    workload.make_ctx(&grid, c, x)
+                }),
+                done: FlagGrid::new(cfg.corelets, cfg.contexts),
+                stalled: FlagGrid::new(cfg.corelets, cfg.contexts),
+                at_barrier: FlagGrid::new(cfg.corelets, cfg.contexts),
+                burst: Arena2::from_fn(cfg.corelets, cfg.contexts, |_, _| 0u32),
+            },
+            rr: vec![0; cfg.corelets],
+            bypass: vec![BTreeMap::new(); cfg.corelets],
+            pbuf,
+            mc,
+            rate,
+            stats: CoreStats::default(),
+            clock_audit: InvariantChecker::new(cfg.invariant_checks),
+            halted: 0,
+            total_threads: cfg.corelets * cfg.contexts,
+            period: nominal,
+            rate_drained: 0,
         };
-        let mut rr = vec![0usize; cfg.corelets];
-        // Per-corelet bypass store: row → slab-fill-arrived (no-flow-control
-        // premature-eviction recovery path). Ordered so the eviction of the
-        // lowest (oldest) row is deterministic.
-        let mut bypass: Vec<BTreeMap<u64, bool>> = vec![BTreeMap::new(); cfg.corelets];
-
-        let mut stats = CoreStats::default();
-        let total_threads = cfg.corelets * cfg.contexts;
-        let mut halted = 0usize;
-        let mut cycle: u64 = 0;
-        let mut last_time: TimePs = 0;
         let mut tel = Telemetry::new(&cfg.telemetry);
-        // Rate-matcher trace entries already converted to freq_step events.
-        let mut rate_drained = 0usize;
-        let slots_per_cycle = cfg.corelets as u64;
-        let mut quiesce = Quiescence::new("Millipede", slots_per_cycle, cfg.max_idle_cycles);
+        let end = drive(
+            &mut p,
+            DualClock::new(nominal, cfg.timing.channel_period_ps),
+            &mut tel,
+            DriveConfig {
+                label: "Millipede",
+                slots_per_cycle: cfg.corelets as u64,
+                max_idle_cycles: cfg.max_idle_cycles,
+                fast_forward: cfg.fast_forward,
+                row_bytes,
+            },
+        );
 
-        while halted < total_threads {
-            if wheel.kind().is_wheel() {
-                // Post the controller's exact next-event bound: channel
-                // edges strictly before it are provable no-ops the wheel
-                // may mask (DESIGN.md, "Event-wheel scheduler").
-                wheel.post(mc_wake, mc.next_event_at());
-            }
-            match wheel.pop() {
-                Edge::Compute(now) => {
-                    clock_audit.on_clock_edge(ClockDomain::Compute, now);
-                    last_time = now;
-                    cycle += 1;
-                    let fp_before = Model {
-                        pbuf: &pbuf,
-                        mc: &mc,
-                        stats: &stats,
-                        rate: &rate,
-                        clock_audit: &clock_audit,
-                        period: wheel.compute_period(),
-                        slots_per_cycle,
-                    }
-                    .fingerprint();
-                    let tel_flow_blocks_before = pbuf.stats().flow_blocks;
-                    // Hand pending row prefetches to the controller.
-                    while mc.free_slots() > 0 {
-                        let Some((slot, row)) = pbuf.pop_fetch() else {
-                            break;
-                        };
-                        let req = Request {
-                            addr: row * row_bytes,
-                            bytes: row_bytes,
-                            tag: TAG_PREFETCH_BASE + slot as u64,
-                        };
-                        if mc.try_push(req, now).is_err() {
-                            pbuf.untake_fetch(slot);
-                            break;
-                        }
-                        stats.prefetches += 1;
-                    }
-
-                    let mut any_issued = false;
-                    for c in 0..cfg.corelets {
-                        stats.issue_slots += 1;
-                        if corelet_tick(
-                            c,
-                            now,
-                            cycle,
-                            cfg,
-                            &decoded,
-                            &image,
-                            row_bytes,
-                            slab_bytes,
-                            &mut threads,
-                            &mut rr,
-                            &mut bypass,
-                            &mut pbuf,
-                            &mut mc,
-                            &mut wheel,
-                            &mut rate,
-                            &mut stats,
-                            &mut halted,
-                        ) {
-                            any_issued = true;
-                        } else {
-                            stats.stall_slots += 1;
-                        }
-                    }
-                    quiesce.note_edge(any_issued);
-                    let pre_ff_cycle = cycle;
-                    let fp_after = Model {
-                        pbuf: &pbuf,
-                        mc: &mc,
-                        stats: &stats,
-                        rate: &rate,
-                        clock_audit: &clock_audit,
-                        period: wheel.compute_period(),
-                        slots_per_cycle,
-                    }
-                    .fingerprint();
-                    if cfg.fast_forward && !any_issued && fp_after == fp_before {
-                        quiesce.quiesce(
-                            &mut wheel,
-                            mc.next_event_at(),
-                            mc.free_slots(),
-                            ReplayDeltas::default(),
-                            now,
-                            &mut cycle,
-                            &mut stats,
-                        );
-                    }
-                    // Telemetry: purely observational, never feeds back into
-                    // simulated state, bit-identical results on or off.
-                    if tel.enabled() {
-                        let trace = rate.trace();
-                        for &(at_cycle, mhz) in &trace[rate_drained..] {
-                            tel.event("core::rate", "freq_step", at_cycle, now, mhz);
-                        }
-                        rate_drained = trace.len();
-                        for _ in tel_flow_blocks_before..pbuf.stats().flow_blocks {
-                            tel.event("core::pbuf", "flow_block", pre_ff_cycle, now, 1.0);
-                        }
-                        // Epoch sampling. Cycles `pre_ff_cycle+1..=cycle`
-                        // (if any) were fast-forwarded: every skipped edge
-                        // was a proven no-op at constant compute period, so
-                        // a boundary inside the skip is reconstructed
-                        // exactly — its time is `now + offset·period` and
-                        // only the replayed per-cycle slot counters differ
-                        // from the current state (rewound linearly).
-                        Model {
-                            pbuf: &pbuf,
-                            mc: &mc,
-                            stats: &stats,
-                            rate: &rate,
-                            clock_audit: &clock_audit,
-                            period: wheel.compute_period(),
-                            slots_per_cycle,
-                        }
-                        .emit_epoch_samples(
-                            &mut tel,
-                            cycle,
-                            pre_ff_cycle,
-                            now,
-                            wheel.compute_period(),
-                        );
-                    }
-                }
-                Edge::Channel(now) => {
-                    // Wheel mode: replay the accounting of compute edges
-                    // slept through *before* this edge acts, so counters
-                    // and telemetry samples see exactly the state the
-                    // polled schedule's replay would have seen.
-                    if let Some((_, s)) = quiesce.drain(&mut wheel, &mut cycle, &mut stats) {
-                        if tel.enabled() {
-                            Model {
-                                pbuf: &pbuf,
-                                mc: &mc,
-                                stats: &stats,
-                                rate: &rate,
-                                clock_audit: &clock_audit,
-                                period: wheel.compute_period(),
-                                slots_per_cycle,
-                            }
-                            .emit_epoch_samples(
-                                &mut tel,
-                                cycle,
-                                s.anchor_cycle,
-                                s.anchor_now,
-                                wheel.compute_period(),
-                            );
-                        }
-                    }
-                    clock_audit.on_clock_edge(ClockDomain::Channel, now);
-                    last_time = now;
-                    mc.tick(now);
-                    let completions = mc.pop_completed(now);
-                    let fills = completions.len();
-                    for comp in completions {
-                        if !comp.row_hit {
-                            // Stamped with the last completed compute cycle:
-                            // channel edges have no compute-cycle identity.
-                            tel.event(
-                                "dram::controller",
-                                "row_conflict",
-                                cycle,
-                                now,
-                                (comp.addr / row_bytes) as f64,
-                            );
-                        }
-                        if comp.tag >= TAG_BYPASS {
-                            let corelet = ((comp.addr % row_bytes) / slab_bytes) as usize;
-                            let row = comp.addr / row_bytes;
-                            bypass[corelet].insert(row, true);
-                        } else {
-                            let slot = (comp.tag - TAG_PREFETCH_BASE) as usize;
-                            pbuf.fill_complete(slot);
-                        }
-                    }
-                    quiesce.maybe_wake(&mut wheel, fills, mc.free_slots());
-                }
-            }
-        }
-
-        stats.compute_cycles = cycle;
-        stats.flow_blocks = pbuf.stats().flow_blocks;
-        stats.premature_evictions = pbuf.stats().premature_evictions;
-        stats.rate_match_final_mhz = if cfg.rate_match {
-            RateMatcher::final_mhz(wheel.clock())
+        p.stats.flow_blocks = p.pbuf.stats().flow_blocks;
+        p.stats.premature_evictions = p.pbuf.stats().premature_evictions;
+        p.stats.rate_match_final_mhz = if cfg.rate_match {
+            RateMatcher::final_mhz(&end.clock)
         } else {
             0.0
         };
-        stats.rate_trace = rate.trace().to_vec();
+        p.stats.rate_trace = p.rate.trace().to_vec();
+        p.assert_clean();
 
-        Model {
-            pbuf: &pbuf,
-            mc: &mc,
-            stats: &stats,
-            rate: &rate,
-            clock_audit: &clock_audit,
-            period: wheel.compute_period(),
-            slots_per_cycle,
-        }
-        .assert_clean();
-
-        let states: Vec<&[u32]> = threads
+        let states: Vec<&[u32]> = p
+            .threads
             .t
             .as_slice()
             .iter()
@@ -451,151 +361,169 @@ mod run_impl {
         let output = workload.reduce(&states);
         let output_ok = output == workload.reference(&grid);
         NodeResult {
-            stats,
-            dram: mc.stats().clone(),
-            elapsed_ps: last_time,
+            stats: p.stats,
+            dram: p.mc.stats().clone(),
+            elapsed_ps: end.elapsed_ps,
             output,
             output_ok,
             telemetry: tel,
-            profile: wheel.profile(),
         }
     }
 
-    /// One compute-cycle issue attempt for corelet `c`. Returns whether an
-    /// instruction issued.
-    #[allow(clippy::too_many_arguments)]
-    fn corelet_tick(
-        c: usize,
-        now: TimePs,
-        cycle: u64,
-        cfg: &MillipedeConfig,
-        decoded: &DecodedProgram,
-        image: &millipede_mem::InputImage,
-        row_bytes: u64,
-        slab_bytes: u64,
-        threads: &mut Threads,
-        rr: &mut [usize],
-        bypass: &mut [BTreeMap<u64, bool>],
-        pbuf: &mut RowPrefetchBuffer,
-        mc: &mut MemoryController,
-        wheel: &mut EventWheel,
-        rate: &mut RateMatcher,
-        stats: &mut CoreStats,
-        halted: &mut usize,
-    ) -> bool {
-        // Whole-corelet early out: every context done or parked at the
-        // barrier means the scan below would be all `continue`s.
-        if threads.done.mask(c) | threads.at_barrier.mask(c) == threads.done.full_mask() {
-            return false;
-        }
-        for k in 0..cfg.contexts {
-            let mut x = rr[c] + k;
-            if x >= cfg.contexts {
-                x -= cfg.contexts;
+    impl Processor<'_> {
+        /// One compute-cycle issue attempt for corelet `c`. Returns whether an
+        /// instruction issued.
+        fn corelet_tick(
+            &mut self,
+            c: usize,
+            now: TimePs,
+            cycle: u64,
+            clock: &mut DualClock,
+        ) -> bool {
+            let Processor {
+                cfg,
+                decoded,
+                image,
+                row_bytes,
+                slab_bytes,
+                threads,
+                rr,
+                bypass,
+                pbuf,
+                mc,
+                rate,
+                stats,
+                halted,
+                ..
+            } = self;
+            let (cfg, row_bytes, slab_bytes) = (*cfg, *row_bytes, *slab_bytes);
+            // Plain shared borrows and slices, so the hot scan sees
+            // read-only program/image data and fixed-length tables.
+            let (decoded, image): (&DecodedProgram, &InputImage) = (decoded, image);
+            let (rr, bypass): (&mut [usize], &mut [BTreeMap<u64, bool>]) = (rr, bypass);
+            // Whole-corelet early out: every context done or parked at the
+            // barrier means the scan below would be all `continue`s.
+            if threads.done.mask(c) | threads.at_barrier.mask(c) == threads.done.full_mask() {
+                return false;
             }
-            if threads.done.get(c, x) || threads.at_barrier.get(c, x) {
-                continue;
-            }
-            // Charge one banked burst-retire credit: the instruction
-            // already executed functionally (it was pure ALU — invisible
-            // to every other context and to the memory system), so this
-            // cycle only pays its issue slot. Identical scheduling to
-            // committing it here: a mid-run context always issues.
-            {
-                let credits = threads.burst.get_mut(c, x);
-                if *credits > 0 {
-                    *credits -= 1;
-                    stats.instructions += 1;
-                    stats.issues += 1;
+            for k in 0..cfg.contexts {
+                let mut x = rr[c] + k;
+                if x >= cfg.contexts {
+                    x -= cfg.contexts;
+                }
+                if threads.done.get(c, x) || threads.at_barrier.get(c, x) {
+                    continue;
+                }
+                // Charge one banked burst-retire credit: the instruction
+                // already executed functionally (it was pure ALU — invisible
+                // to every other context and to the memory system), so this
+                // cycle only pays its issue slot. Identical scheduling to
+                // committing it here: a mid-run context always issues.
+                {
+                    let credits = threads.burst.get_mut(c, x);
+                    if *credits > 0 {
+                        *credits -= 1;
+                        stats.instructions += 1;
+                        stats.issues += 1;
+                        rr[c] = if x + 1 == cfg.contexts { 0 } else { x + 1 };
+                        return true;
+                    }
+                }
+                if decoded.access_class(threads.t.get(c, x).pc) == AccessClass::InputLoad {
+                    let addr = decoded.mem_addr_at(threads.t.get(c, x));
+                    let row = addr / row_bytes;
+                    match pbuf.lookup(row) {
+                        Lookup::Ready { slot } => {
+                            commit(c, x, threads, decoded, image, stats, halted, Some(addr));
+                            stats.pbuf_hits += 1;
+                            let out = pbuf.consume(slot, c);
+                            if out.trigger_blocked {
+                                rate.on_signal(OccupancySignal::Full, cycle, clock);
+                            }
+                            rr[c] = if x + 1 == cfg.contexts { 0 } else { x + 1 };
+                            return true;
+                        }
+                        Lookup::Future => {
+                            // The accessor is ahead of the prefetch stream. With
+                            // flow control it stalls; without, its demand wraps
+                            // the buffer, prematurely evicting unconsumed heads.
+                            if !cfg.flow_control {
+                                pbuf.force_allocate_for_demand(row);
+                            }
+                            if !threads.stalled.get(c, x) {
+                                threads.stalled.set(c, x, true);
+                                stats.demand_stalls += 1;
+                                rate.on_signal(OccupancySignal::Empty, cycle, clock);
+                            }
+                            continue;
+                        }
+                        Lookup::Filling => {
+                            if !threads.stalled.get(c, x) {
+                                threads.stalled.set(c, x, true);
+                                stats.demand_stalls += 1;
+                                rate.on_signal(OccupancySignal::Empty, cycle, clock);
+                            }
+                            continue;
+                        }
+                        Lookup::Evicted => {
+                            debug_assert!(
+                                !cfg.flow_control,
+                                "eviction under flow control is impossible"
+                            );
+                            match bypass[c].get(&row) {
+                                Some(true) => {
+                                    commit(
+                                        c,
+                                        x,
+                                        threads,
+                                        decoded,
+                                        image,
+                                        stats,
+                                        halted,
+                                        Some(addr),
+                                    );
+                                    rr[c] = if x + 1 == cfg.contexts { 0 } else { x + 1 };
+                                    return true;
+                                }
+                                Some(false) => {
+                                    // Fill in flight.
+                                    continue;
+                                }
+                                None => {
+                                    let addr = row * row_bytes + c as u64 * slab_bytes;
+                                    let req = Request {
+                                        addr,
+                                        bytes: slab_bytes,
+                                        tag: TAG_BYPASS,
+                                    };
+                                    if mc.try_push(req, now).is_ok() {
+                                        if bypass[c].len() >= 32 {
+                                            // Bound the store: oldest (lowest)
+                                            // rows are never needed again.
+                                            if let Some(oldest) = bypass[c].keys().next().copied() {
+                                                bypass[c].remove(&oldest);
+                                            }
+                                        }
+                                        bypass[c].insert(row, false);
+                                        stats.demand_fetches += 1;
+                                    }
+                                    if !threads.stalled.get(c, x) {
+                                        threads.stalled.set(c, x, true);
+                                        stats.demand_stalls += 1;
+                                    }
+                                    continue;
+                                }
+                            }
+                        }
+                    }
+                } else {
+                    commit(c, x, threads, decoded, image, stats, halted, None);
                     rr[c] = if x + 1 == cfg.contexts { 0 } else { x + 1 };
                     return true;
                 }
             }
-            if decoded.access_class(threads.t.get(c, x).pc) == AccessClass::InputLoad {
-                let addr = decoded.mem_addr_at(threads.t.get(c, x));
-                let row = addr / row_bytes;
-                match pbuf.lookup(row) {
-                    Lookup::Ready { slot } => {
-                        commit(c, x, threads, decoded, image, stats, halted, Some(addr));
-                        stats.pbuf_hits += 1;
-                        let out = pbuf.consume(slot, c);
-                        if out.trigger_blocked {
-                            rate.on_signal(OccupancySignal::Full, cycle, wheel.clock_mut());
-                        }
-                        rr[c] = if x + 1 == cfg.contexts { 0 } else { x + 1 };
-                        return true;
-                    }
-                    Lookup::Future => {
-                        // The accessor is ahead of the prefetch stream. With
-                        // flow control it stalls; without, its demand wraps
-                        // the buffer, prematurely evicting unconsumed heads.
-                        if !cfg.flow_control {
-                            pbuf.force_allocate_for_demand(row);
-                        }
-                        if !threads.stalled.get(c, x) {
-                            threads.stalled.set(c, x, true);
-                            stats.demand_stalls += 1;
-                            rate.on_signal(OccupancySignal::Empty, cycle, wheel.clock_mut());
-                        }
-                        continue;
-                    }
-                    Lookup::Filling => {
-                        if !threads.stalled.get(c, x) {
-                            threads.stalled.set(c, x, true);
-                            stats.demand_stalls += 1;
-                            rate.on_signal(OccupancySignal::Empty, cycle, wheel.clock_mut());
-                        }
-                        continue;
-                    }
-                    Lookup::Evicted => {
-                        debug_assert!(
-                            !cfg.flow_control,
-                            "eviction under flow control is impossible"
-                        );
-                        match bypass[c].get(&row) {
-                            Some(true) => {
-                                commit(c, x, threads, decoded, image, stats, halted, Some(addr));
-                                rr[c] = if x + 1 == cfg.contexts { 0 } else { x + 1 };
-                                return true;
-                            }
-                            Some(false) => {
-                                // Fill in flight.
-                                continue;
-                            }
-                            None => {
-                                let addr = row * row_bytes + c as u64 * slab_bytes;
-                                let req = Request {
-                                    addr,
-                                    bytes: slab_bytes,
-                                    tag: TAG_BYPASS,
-                                };
-                                if mc.try_push(req, now).is_ok() {
-                                    if bypass[c].len() >= 32 {
-                                        // Bound the store: oldest (lowest)
-                                        // rows are never needed again.
-                                        if let Some(oldest) = bypass[c].keys().next().copied() {
-                                            bypass[c].remove(&oldest);
-                                        }
-                                    }
-                                    bypass[c].insert(row, false);
-                                    stats.demand_fetches += 1;
-                                }
-                                if !threads.stalled.get(c, x) {
-                                    threads.stalled.set(c, x, true);
-                                    stats.demand_stalls += 1;
-                                }
-                                continue;
-                            }
-                        }
-                    }
-                }
-            } else {
-                commit(c, x, threads, decoded, image, stats, halted, None);
-                rr[c] = if x + 1 == cfg.contexts { 0 } else { x + 1 };
-                return true;
-            }
+            false
         }
-        false
     }
 
     /// Functionally executes the context's next instruction and updates
@@ -804,45 +732,6 @@ mod tests {
                 assert_eq!(fast.dram, slow.dram, "{bench:?}: DRAM stats diverged");
                 assert_eq!(fast.elapsed_ps, slow.elapsed_ps);
                 assert_eq!(fast.output, slow.output);
-            }
-        }
-    }
-
-    #[test]
-    fn event_wheel_is_bit_exact() {
-        use millipede_engine::SchedulerKind;
-        for bench in [Benchmark::Count, Benchmark::NBayes] {
-            let w = small(bench);
-            for base in [
-                MillipedeConfig::default(),
-                MillipedeConfig::no_flow_control(),
-                MillipedeConfig::no_rate_match(),
-            ] {
-                for ff in [false, true] {
-                    let mut c = base.clone();
-                    c.fast_forward = ff;
-                    c.scheduler = SchedulerKind::Poll;
-                    let poll = run(&w, &c);
-                    c.scheduler = SchedulerKind::Wheel;
-                    let wheel = run(&w, &c);
-                    let label = format!("{bench:?} ff={ff}");
-                    // The wheel sleeps through more edges than poll-mode
-                    // fast-forward skips; only the wall-clock-only skip
-                    // counter may differ.
-                    let mut ws = wheel.stats.clone();
-                    let mut ps = poll.stats.clone();
-                    ws.ff_skipped_cycles = 0;
-                    ps.ff_skipped_cycles = 0;
-                    assert_eq!(ws, ps, "{label}: stats diverged");
-                    assert_eq!(wheel.dram, poll.dram, "{label}: DRAM stats diverged");
-                    assert_eq!(wheel.elapsed_ps, poll.elapsed_ps, "{label}");
-                    assert_eq!(wheel.output, poll.output, "{label}");
-                    if !ff {
-                        // Without fast-forward the wheel only masks channel
-                        // edges — it must never skip a compute edge.
-                        assert_eq!(wheel.stats.ff_skipped_cycles, 0, "{label}");
-                    }
-                }
             }
         }
     }

@@ -1,7 +1,7 @@
 //! Cross-architecture run results.
 
 use millipede_dram::DramStats;
-use millipede_engine::{CoreStats, TimePs, WheelProfile};
+use millipede_engine::{CoreStats, TimePs};
 use millipede_telemetry::Telemetry;
 use millipede_workloads::Reduced;
 
@@ -27,10 +27,6 @@ pub struct NodeResult {
     /// [`millipede_telemetry::TelemetryConfig`] enabled it). Excluded from
     /// determinism digests exactly like `ff_skipped_cycles`.
     pub telemetry: Telemetry,
-    /// Scheduler sleep/wake occupancy of the run's event wheel (all zero
-    /// in poll mode). Host observability for run manifests; excluded from
-    /// determinism digests exactly like `ff_skipped_cycles`.
-    pub profile: WheelProfile,
 }
 
 impl NodeResult {
@@ -62,7 +58,6 @@ mod tests {
             output: Reduced::Ints(vec![]),
             output_ok: true,
             telemetry: Telemetry::off(),
-            profile: WheelProfile::default(),
         }
     }
 

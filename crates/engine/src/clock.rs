@@ -88,52 +88,16 @@ impl DualClock {
         }
     }
 
-    /// Time of the next edge without consuming it.
-    pub fn peek_time(&self) -> TimePs {
-        self.next_compute.min(self.next_channel)
-    }
-
-    /// Time of the next compute edge without consuming it.
-    pub fn next_compute_at(&self) -> TimePs {
-        self.next_compute
-    }
-
     /// The first channel-grid edge at or after `event` — the edge
-    /// [`DualClock::fast_forward`] (or the event wheel) would fire next for
-    /// a component whose earliest action is at `event`.
-    pub fn channel_edge_for(&self, event: TimePs) -> TimePs {
+    /// [`DualClock::fast_forward`] would fire next for a component whose
+    /// earliest action is at `event`.
+    fn channel_edge_for(&self, event: TimePs) -> TimePs {
         if self.next_channel >= event {
             self.next_channel
         } else {
             let delta = event - self.next_channel;
             self.next_channel + delta.div_ceil(self.channel_period) * self.channel_period
         }
-    }
-
-    /// Consumes the next compute edge regardless of the channel schedule,
-    /// returning its time. The channel grid is untouched.
-    pub fn pop_compute(&mut self) -> TimePs {
-        let t = self.next_compute;
-        self.last_compute = t;
-        self.next_compute += self.compute_period;
-        t
-    }
-
-    /// Consumes the channel edge at `t` — a grid-aligned time at or after
-    /// the next scheduled channel edge — dropping any masked grid edges
-    /// before it. The caller asserts those masked edges were exact no-ops
-    /// (same contract as [`DualClock::fast_forward`]).
-    pub fn take_channel_edge(&mut self, t: TimePs) {
-        debug_assert!(t >= self.next_channel);
-        debug_assert_eq!((t - self.next_channel) % self.channel_period, 0);
-        self.next_channel = t + self.channel_period;
-    }
-
-    /// Drops channel-grid edges strictly before `t` (a tied edge at `t`
-    /// survives, preserving the compute-first tie-break). The caller
-    /// asserts the dropped edges were exact no-ops.
-    pub fn drop_channel_edges_before(&mut self, t: TimePs) {
-        self.next_channel = self.channel_edge_for(t);
     }
 
     /// Fast-forwards both domains to the first channel edge at or after

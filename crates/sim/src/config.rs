@@ -7,7 +7,6 @@
 
 use millipede_dram::{DramGeometry, DramTiming};
 use millipede_energy::EnergyParams;
-use millipede_engine::SchedulerKind;
 use millipede_telemetry::TelemetryConfig;
 
 /// Parameters of one simulated comparison point.
@@ -47,11 +46,6 @@ pub struct SimConfig {
     /// Observational only: determinism digests are bit-identical on or
     /// off.
     pub telemetry: TelemetryConfig,
-    /// Main-loop scheduler for every event-driven timing model (defaults
-    /// from `MILLIPEDE_SCHEDULER`: `poll` or `wheel`, unset → poll).
-    /// Results are bit-identical either way (see DESIGN.md, "Event-wheel
-    /// scheduler").
-    pub scheduler: SchedulerKind,
 }
 
 impl Default for SimConfig {
@@ -67,7 +61,6 @@ impl Default for SimConfig {
             energy: EnergyParams::default(),
             fast_forward: fast_forward_from_env(),
             telemetry: TelemetryConfig::from_env(),
-            scheduler: scheduler_from_env(),
         }
     }
 }
@@ -87,28 +80,65 @@ pub fn fast_forward_from_env() -> bool {
     env_flag("MILLIPEDE_FASTFORWARD").unwrap_or(true)
 }
 
-/// Reads the `MILLIPEDE_SCHEDULER` environment switch: `poll` (the
-/// default) or `wheel`. Unset or empty selects poll; an unrecognized value
-/// warns on stderr and falls back to poll rather than silently changing
-/// the schedule.
-pub fn scheduler_from_env() -> SchedulerKind {
-    match std::env::var("MILLIPEDE_SCHEDULER") {
-        Err(_) => SchedulerKind::Poll,
-        Ok(v) => match v.as_str() {
-            "" | "poll" => SchedulerKind::Poll,
-            "wheel" => SchedulerKind::Wheel,
-            other => {
-                eprintln!(
-                    "warning: MILLIPEDE_SCHEDULER={other:?} is not a scheduler \
-                     (expected \"poll\" or \"wheel\"); using poll"
-                );
-                SchedulerKind::Poll
+/// Why a [`SimConfig`] cannot be simulated.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ConfigError {
+    /// `num_chunks` is zero: there is no input to run.
+    NoChunks,
+    /// A prefetch buffer needs at least two entries (one filling while
+    /// another drains); carries the requested count.
+    TooFewPbufEntries(usize),
+    /// Every corelet owns an equal slab of each row, so the corelet count
+    /// must be positive and divide the row's 4-byte words.
+    CoreletsSplitRow {
+        /// Requested corelets per processor.
+        corelets: usize,
+        /// 4-byte words per DRAM row.
+        row_words: u64,
+    },
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ConfigError::NoChunks => write!(f, "the input needs at least one chunk"),
+            ConfigError::TooFewPbufEntries(n) => {
+                write!(f, "the prefetch buffer needs at least 2 entries, not {n}")
             }
-        },
+            ConfigError::CoreletsSplitRow {
+                corelets,
+                row_words,
+            } => write!(
+                f,
+                "{corelets} corelets cannot split a {row_words}-word row into equal slabs"
+            ),
+        }
     }
 }
 
+impl std::error::Error for ConfigError {}
+
 impl SimConfig {
+    /// Checks the geometry every architecture relies on: at least one
+    /// chunk of input, a prefetch buffer of at least two entries, and a
+    /// corelet count that splits a row into equal slabs.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.num_chunks == 0 {
+            return Err(ConfigError::NoChunks);
+        }
+        if self.pbuf_entries < 2 {
+            return Err(ConfigError::TooFewPbufEntries(self.pbuf_entries));
+        }
+        let row_words = self.row_bytes / 4;
+        if self.corelets == 0 || !row_words.is_multiple_of(self.corelets as u64) {
+            return Err(ConfigError::CoreletsSplitRow {
+                corelets: self.corelets,
+                row_words,
+            });
+        }
+        Ok(())
+    }
+
     /// The DRAM geometry shared by every architecture.
     pub fn geometry(&self) -> DramGeometry {
         DramGeometry {
@@ -141,6 +171,35 @@ mod tests {
         assert_eq!(c.pbuf_entries, 16);
         assert_eq!(c.row_bytes, 2048);
         assert_eq!(c.records(), 48 * 512);
+    }
+
+    #[test]
+    fn validate_rejects_each_bad_geometry() {
+        assert_eq!(SimConfig::default().validate(), Ok(()));
+        let bad = |f: fn(&mut SimConfig)| {
+            let mut c = SimConfig::default();
+            f(&mut c);
+            c.validate()
+        };
+        assert_eq!(bad(|c| c.num_chunks = 0), Err(ConfigError::NoChunks));
+        assert_eq!(
+            bad(|c| c.pbuf_entries = 1),
+            Err(ConfigError::TooFewPbufEntries(1))
+        );
+        for corelets in [0, 3, 100_000] {
+            let c = SimConfig {
+                corelets,
+                ..SimConfig::default()
+            };
+            assert_eq!(
+                c.validate(),
+                Err(ConfigError::CoreletsSplitRow {
+                    corelets,
+                    row_words: 512
+                })
+            );
+        }
+        assert_eq!(bad(|c| c.corelets = 64), Ok(()));
     }
 
     #[test]

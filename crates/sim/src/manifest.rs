@@ -5,9 +5,9 @@
 //! fingerprint), every run's determinism digest and full metrics registry
 //! (populated through the shared `Instrumented` registration in
 //! `millipede_engine::instrument`), and host self-profiling — wall-clock
-//! per phase, retired-instructions/sec, walked-edges/sec, event-wheel
-//! sleep/wake occupancy, fast-forward skipped-cycle ratio, sweep-pool
-//! utilization, per-point latency, and telemetry ring drop counts.
+//! per phase, retired-instructions/sec, walked-edges/sec, fast-forward
+//! skipped-cycle ratio, sweep-pool utilization, per-point latency, and
+//! telemetry ring drop counts.
 //!
 //! Everything here is observational: manifests are built *from* finished
 //! [`RunResult`]s, never read back by a timing model, so metrics are
@@ -20,7 +20,7 @@
 use crate::config::SimConfig;
 use crate::determinism::{digest_run, Fnv1a};
 use crate::runner::RunResult;
-use millipede_engine::{instrument, SchedulerKind};
+use millipede_engine::instrument;
 use millipede_metrics::json::{escape, fmt_f64, Json};
 use millipede_metrics::{Histogram, Registry, SelfProfile};
 
@@ -33,7 +33,7 @@ pub const SCHEMA: &str = "millipede-manifest/1";
 pub const DEFAULT_CHECK_THRESHOLD_PCT: f64 = 20.0;
 
 /// One run as it appears in a manifest: the result plus the sweep-point
-/// context (`chunks`, scheduler) and the wall time to record — callers
+/// context (`chunks`) and the wall time to record — callers
 /// timing medians over repeated runs (the bench harness) substitute the
 /// median for the single-run wall.
 #[derive(Debug, Clone)]
@@ -45,8 +45,6 @@ pub struct ManifestRun<'a> {
     /// Input size in chunks this point ran with (used by `report --check`
     /// to match baseline sweep points).
     pub chunks: usize,
-    /// Main-loop scheduler this point ran under.
-    pub scheduler: SchedulerKind,
 }
 
 impl<'a> ManifestRun<'a> {
@@ -57,27 +55,18 @@ impl<'a> ManifestRun<'a> {
             result,
             wall_ms: result.wall.as_secs_f64() * 1e3,
             chunks: cfg.num_chunks,
-            scheduler: cfg.scheduler,
         }
-    }
-}
-
-/// The scheduler's manifest name (`"poll"` / `"wheel"`, matching
-/// `MILLIPEDE_SCHEDULER` values).
-pub fn scheduler_name(s: SchedulerKind) -> &'static str {
-    if s.is_wheel() {
-        "wheel"
-    } else {
-        "poll"
     }
 }
 
 /// FNV-1a fingerprint over every simulated-behaviour-relevant config
 /// field, so two manifests are comparable iff their fingerprints match.
-/// Observational knobs (telemetry, metrics) are deliberately excluded —
-/// they cannot change results, and a trace-enabled rerun of a sweep should
-/// still diff clean against it.
+/// Observational knobs are deliberately excluded — telemetry, and
+/// fast-forward, which is bit-exact against per-edge ticking — they cannot
+/// change results, and a trace-enabled rerun of a sweep should still diff
+/// clean against it.
 pub fn config_fingerprint(cfg: &SimConfig) -> u64 {
+    let e = &cfg.energy;
     let mut h = Fnv1a::new();
     for v in [
         cfg.num_chunks as u64,
@@ -87,8 +76,20 @@ pub fn config_fingerprint(cfg: &SimConfig) -> u64 {
         cfg.contexts as u64,
         u64::from(cfg.bandwidth_factor),
         cfg.pbuf_entries as u64,
-        u64::from(cfg.fast_forward),
-        u64::from(cfg.scheduler.is_wheel()),
+        e.pipeline_op.to_bits(),
+        e.regfile.to_bits(),
+        e.ifetch.to_bits(),
+        e.local_mem.to_bits(),
+        e.l1.to_bits(),
+        e.shared_mem.to_bits(),
+        e.idle_lane.to_bits(),
+        e.dram_pj_per_bit.to_bits(),
+        e.dram_activate_nj.to_bits(),
+        e.leak_mw_per_lane.to_bits(),
+        e.leak_mw_fixed.to_bits(),
+        e.mc_pipeline_op.to_bits(),
+        e.mc_dram_pj_per_bit.to_bits(),
+        e.mc_leak_mw_per_core.to_bits(),
     ] {
         h.write_u64(v);
     }
@@ -103,8 +104,8 @@ fn metric_prefix(r: &RunResult) -> String {
 }
 
 /// Builds one run's full metrics registry: the shared `Instrumented`
-/// core-stats registration plus DRAM counters, energy gauges, event-wheel
-/// occupancy, and telemetry sink totals, all under the run's arch prefix.
+/// core-stats registration plus DRAM counters, energy gauges, and
+/// telemetry sink totals, all under the run's arch prefix.
 pub fn run_registry(r: &RunResult) -> Registry {
     let mut reg = Registry::new();
     let prefix = metric_prefix(r);
@@ -127,9 +128,6 @@ pub fn run_registry(r: &RunResult) -> Registry {
     ] {
         reg.gauge_set(&format!("{prefix}.energy.{name}"), v);
     }
-    let p = r.node.profile;
-    reg.counter_add(&format!("{prefix}.wheel.sleeps"), p.sleeps);
-    reg.counter_add(&format!("{prefix}.wheel.wakes"), p.wakes);
     let tel = &r.node.telemetry;
     for (name, v) in [
         ("series", tel.series_len() as u64),
@@ -160,8 +158,6 @@ pub fn render(cfg: &SimConfig, prof: &SelfProfile, threads: usize, runs: &[Manif
     let mut instructions: u64 = 0;
     let mut compute_cycles: u64 = 0;
     let mut ff_skipped: u64 = 0;
-    let mut sleeps: u64 = 0;
-    let mut wakes: u64 = 0;
     let mut dropped: u64 = 0;
     let mut point_ms = Histogram::default();
     for r in runs {
@@ -169,8 +165,6 @@ pub fn render(cfg: &SimConfig, prof: &SelfProfile, threads: usize, runs: &[Manif
         instructions += s.instructions;
         compute_cycles += s.compute_cycles;
         ff_skipped += s.ff_skipped_cycles;
-        sleeps += r.result.node.profile.sleeps;
-        wakes += r.result.node.profile.wakes;
         dropped += r.result.node.telemetry.dropped_events();
         point_ms.observe(r.wall_ms);
     }
@@ -192,14 +186,13 @@ pub fn render(cfg: &SimConfig, prof: &SelfProfile, threads: usize, runs: &[Manif
         let reg = run_registry(r.result);
         run_entries.push(format!(
             "    {{\"label\":\"{}/{}\",\"arch\":\"{}\",\"bench\":\"{}\",\"chunks\":{},\
-             \"scheduler\":\"{}\",\"digest\":\"{:#018x}\",\"elapsed_ps\":{},\
+             \"digest\":\"{:#018x}\",\"elapsed_ps\":{},\
              \"wall_ms\":{},\"output_ok\":{},\"metrics\":{}}}",
             escape(r.result.arch.label()),
             escape(r.result.bench.name()),
             escape(r.result.arch.label()),
             escape(r.result.bench.name()),
             r.chunks,
-            scheduler_name(r.scheduler),
             digest_run(r.result),
             r.result.node.elapsed_ps,
             fmt_f64(r.wall_ms),
@@ -211,12 +204,12 @@ pub fn render(cfg: &SimConfig, prof: &SelfProfile, threads: usize, runs: &[Manif
     format!(
         "{{\n  \"schema\": \"{SCHEMA}\",\n  \"config\": {{\"num_chunks\":{},\"seed\":{},\
          \"row_bytes\":{},\"corelets\":{},\"contexts\":{},\"bandwidth_factor\":{},\
-         \"pbuf_entries\":{},\"fast_forward\":{},\"scheduler\":\"{}\",\"telemetry\":{},\
+         \"pbuf_entries\":{},\"fast_forward\":{},\"telemetry\":{},\
          \"fingerprint\":\"{:#018x}\"}},\n  \"host\": {{\"phases_ms\":{{{phases}}},\
          \"total_ms\":{},\"sweep\":{{\"threads\":{threads},\"points\":{},\
          \"utilization\":{},\"point_ms\":{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\
          \"mean\":{}}}}},\"retired_instructions_per_sec\":{},\"walked_edges_per_sec\":{},\
-         \"ff_skipped_ratio\":{},\"wheel\":{{\"sleeps\":{sleeps},\"wakes\":{wakes}}},\
+         \"ff_skipped_ratio\":{},\
          \"telemetry_dropped_events\":{dropped}}},\n  \"runs\": [\n{}\n  ]\n}}\n",
         cfg.num_chunks,
         cfg.seed,
@@ -226,7 +219,6 @@ pub fn render(cfg: &SimConfig, prof: &SelfProfile, threads: usize, runs: &[Manif
         cfg.bandwidth_factor,
         cfg.pbuf_entries,
         cfg.fast_forward,
-        scheduler_name(cfg.scheduler),
         cfg.telemetry.enabled,
         config_fingerprint(cfg),
         fmt_f64(prof.total_ms()),
@@ -275,13 +267,7 @@ pub fn render_text(doc: &Json) -> String {
         .and_then(|c| c.get("fingerprint"))
         .and_then(Json::as_str)
         .unwrap_or("?");
-    let sched = cfg
-        .and_then(|c| c.get("scheduler"))
-        .and_then(Json::as_str)
-        .unwrap_or("?");
-    out.push_str(&format!(
-        "manifest {SCHEMA}: config {fp} (scheduler {sched})\n"
-    ));
+    out.push_str(&format!("manifest {SCHEMA}: config {fp}\n"));
     if let Some(host) = doc.get("host") {
         if let Some(phases) = host.get("phases_ms").and_then(Json::as_object) {
             let cells: Vec<String> = phases
@@ -434,11 +420,10 @@ pub struct CheckOutcome {
     pub regressions: usize,
 }
 
-/// Checks a parsed manifest against a `millipede-bench/1` or `/2` baseline
-/// sweep: every manifest run whose `(arch, bench, chunks)` names a baseline
-/// point is compared against that point's median wall for the run's
-/// scheduler, and counts as a regression when it is more than
-/// `threshold_pct` percent slower.
+/// Checks a parsed manifest against a `millipede-bench/*` baseline sweep:
+/// every manifest run whose `(arch, bench, chunks)` names a baseline point
+/// is compared against that point's `poll_median_ms`, and counts as a
+/// regression when it is more than `threshold_pct` percent slower.
 pub fn check(manifest: &Json, baseline: &Json, threshold_pct: f64) -> Result<CheckOutcome, String> {
     match baseline.get("schema").and_then(Json::as_str) {
         Some(s) if s.starts_with("millipede-bench/") => {}
@@ -471,10 +456,6 @@ pub fn check(manifest: &Json, baseline: &Json, threshold_pct: f64) -> Result<Che
             .to_ascii_lowercase();
         let bench = run.get("bench").and_then(Json::as_str).unwrap_or("?");
         let chunks = run.get("chunks").and_then(Json::as_f64).unwrap_or(-1.0);
-        let scheduler = run
-            .get("scheduler")
-            .and_then(Json::as_str)
-            .unwrap_or("poll");
         let Some(point) = points.iter().find(|p| {
             p.get("arch").and_then(Json::as_str) == Some(arch.as_str())
                 && p.get("bench").and_then(Json::as_str) == Some(bench)
@@ -482,12 +463,7 @@ pub fn check(manifest: &Json, baseline: &Json, threshold_pct: f64) -> Result<Che
         }) else {
             continue;
         };
-        let median_key = if scheduler == "wheel" {
-            "wheel_median_ms"
-        } else {
-            "poll_median_ms"
-        };
-        let Some(baseline_ms) = point.get(median_key).and_then(Json::as_f64) else {
+        let Some(baseline_ms) = point.get("poll_median_ms").and_then(Json::as_f64) else {
             continue;
         };
         let wall_ms = run.get("wall_ms").and_then(Json::as_f64).unwrap_or(0.0);
@@ -497,7 +473,7 @@ pub fn check(manifest: &Json, baseline: &Json, threshold_pct: f64) -> Result<Che
         outcome.regressions += usize::from(regressed);
         outcome.lines.push(format!(
             "{:<40} baseline {baseline_ms:>9.1} ms, current {wall_ms:>9.1} ms ({ratio:>6.2}x) [{}]",
-            format!("{arch}/{bench}/{scheduler}"),
+            format!("{arch}/{bench}"),
             if regressed { "REGRESSION" } else { "ok" },
         ));
     }
@@ -559,7 +535,7 @@ mod tests {
     }
 
     #[test]
-    fn registry_covers_stats_dram_energy_and_wheel() {
+    fn registry_covers_stats_dram_and_energy() {
         let cfg = tiny();
         let r = run_one(Arch::Ssmc, Benchmark::Count, &cfg);
         let reg = run_registry(&r);
@@ -575,24 +551,86 @@ mod tests {
             reg.get("ssmc.energy.core_pj"),
             Some(Metric::Gauge(_))
         ));
-        assert!(reg.get("ssmc.wheel.sleeps").is_some());
         assert!(reg.get("ssmc.telemetry.dropped_events").is_some());
     }
 
+    /// A named single-field change to a config.
+    type Perturb = (&'static str, fn(&mut SimConfig));
+
     #[test]
     fn config_fingerprint_tracks_simulated_knobs_only() {
-        let base = tiny();
-        let fp = config_fingerprint(&base);
-        let mut t = tiny();
-        t.seed += 1;
-        assert_ne!(config_fingerprint(&t), fp);
-        let mut t = tiny();
-        t.telemetry.enabled = true;
-        assert_eq!(
-            config_fingerprint(&t),
-            fp,
-            "observational knobs must not change the fingerprint"
-        );
+        // Exhaustive on purpose: a field added to `SimConfig` or
+        // `EnergyParams` fails to compile here until it is listed below as
+        // simulated (perturbing it must move the fingerprint) or
+        // observational (perturbing it must not).
+        let SimConfig {
+            num_chunks: _,
+            seed: _,
+            row_bytes: _,
+            corelets: _,
+            contexts: _,
+            bandwidth_factor: _,
+            pbuf_entries: _,
+            energy:
+                millipede_energy::EnergyParams {
+                    pipeline_op: _,
+                    regfile: _,
+                    ifetch: _,
+                    local_mem: _,
+                    l1: _,
+                    shared_mem: _,
+                    idle_lane: _,
+                    dram_pj_per_bit: _,
+                    dram_activate_nj: _,
+                    leak_mw_per_lane: _,
+                    leak_mw_fixed: _,
+                    mc_pipeline_op: _,
+                    mc_dram_pj_per_bit: _,
+                    mc_leak_mw_per_core: _,
+                },
+            fast_forward: _,
+            telemetry: _,
+        } = tiny();
+        let simulated: [Perturb; 21] = [
+            ("num_chunks", |c| c.num_chunks += 1),
+            ("seed", |c| c.seed += 1),
+            ("row_bytes", |c| c.row_bytes *= 2),
+            ("corelets", |c| c.corelets *= 2),
+            ("contexts", |c| c.contexts += 1),
+            ("bandwidth_factor", |c| c.bandwidth_factor += 1),
+            ("pbuf_entries", |c| c.pbuf_entries += 1),
+            ("pipeline_op", |c| c.energy.pipeline_op += 0.5),
+            ("regfile", |c| c.energy.regfile += 0.5),
+            ("ifetch", |c| c.energy.ifetch += 0.5),
+            ("local_mem", |c| c.energy.local_mem += 0.5),
+            ("l1", |c| c.energy.l1 += 0.5),
+            ("shared_mem", |c| c.energy.shared_mem += 0.5),
+            ("idle_lane", |c| c.energy.idle_lane += 0.5),
+            ("dram_pj_per_bit", |c| c.energy.dram_pj_per_bit += 0.5),
+            ("dram_activate_nj", |c| c.energy.dram_activate_nj += 0.5),
+            ("leak_mw_per_lane", |c| c.energy.leak_mw_per_lane += 0.5),
+            ("leak_mw_fixed", |c| c.energy.leak_mw_fixed += 0.5),
+            ("mc_pipeline_op", |c| c.energy.mc_pipeline_op += 0.5),
+            ("mc_dram_pj_per_bit", |c| c.energy.mc_dram_pj_per_bit += 0.5),
+            ("mc_leak_mw_per_core", |c| {
+                c.energy.mc_leak_mw_per_core += 0.5;
+            }),
+        ];
+        let observational: [Perturb; 2] = [
+            ("fast_forward", |c| c.fast_forward = !c.fast_forward),
+            ("telemetry", |c| c.telemetry.enabled = !c.telemetry.enabled),
+        ];
+        let fp = config_fingerprint(&tiny());
+        for (name, perturb) in simulated {
+            let mut c = tiny();
+            perturb(&mut c);
+            assert_ne!(config_fingerprint(&c), fp, "simulated field {name}");
+        }
+        for (name, perturb) in observational {
+            let mut c = tiny();
+            perturb(&mut c);
+            assert_eq!(config_fingerprint(&c), fp, "observational field {name}");
+        }
     }
 
     #[test]
@@ -611,14 +649,14 @@ mod tests {
         let baseline = Json::parse(
             r#"{"schema":"millipede-bench/2","points":[
                 {"label":"millipede-count","arch":"millipede","bench":"count",
-                 "chunks":2,"poll_median_ms":100.0,"wheel_median_ms":90.0}]}"#,
+                 "chunks":2,"poll_median_ms":100.0}]}"#,
         )
         .expect("baseline");
         let manifest = |wall: f64| {
             Json::parse(&format!(
                 r#"{{"schema":"millipede-manifest/1","host":{{}},"runs":[
                     {{"label":"Millipede/count","arch":"Millipede","bench":"count",
-                     "chunks":2,"scheduler":"poll","wall_ms":{wall}}}]}}"#
+                     "chunks":2,"wall_ms":{wall}}}]}}"#
             ))
             .expect("manifest")
         };

@@ -23,17 +23,20 @@
 #![warn(missing_docs)]
 
 use millipede_core::NodeResult;
+use millipede_dram::Completion;
 use millipede_dram::{DramGeometry, DramTiming};
 use millipede_dram::{MemoryController, Request, TimePs};
 use millipede_engine::{
-    instrument, period_ps_for_mhz, AccessClass, Arena2, CoreStats, DecodedProgram, DualClock, Edge,
-    EventWheel, FlagGrid, Instrumented, Quiescence, ReplayDeltas, SchedulerKind, StepEffect,
-    ThreadCtx,
+    drive, instrument, period_ps_for_mhz, AccessClass, Arena2, CoreStats, DecodedProgram,
+    DriveConfig, DualClock, FlagGrid, Instrumented, ReplayDeltas, StepEffect, ThreadCtx,
+    TimingModel,
 };
 use millipede_mapreduce::ThreadGrid;
+use millipede_mem::InputImage;
 use millipede_mem::{Cache, Mshr};
 use millipede_telemetry::{Telemetry, TelemetryConfig};
 use millipede_workloads::Workload;
+use std::sync::Arc;
 
 /// Configuration of one SSMC processor (Table III defaults).
 #[derive(Debug, Clone)]
@@ -70,10 +73,6 @@ pub struct SsmcConfig {
     pub fast_forward: bool,
     /// Cycle-domain telemetry (off by default; purely observational).
     pub telemetry: TelemetryConfig,
-    /// Main-loop scheduler (poll every edge, or the event wheel); results
-    /// are bit-identical either way (see DESIGN.md, "Event-wheel
-    /// scheduler").
-    pub scheduler: SchedulerKind,
 }
 
 impl Default for SsmcConfig {
@@ -93,7 +92,6 @@ impl Default for SsmcConfig {
             max_idle_cycles: 2_000_000,
             fast_forward: true,
             telemetry: TelemetryConfig::from_env(),
-            scheduler: SchedulerKind::default(),
         }
     }
 }
@@ -170,21 +168,38 @@ struct Threads {
     stall_block: Arena2<u64>,
 }
 
-/// Borrowing instrumentation view over the run loop's state, implementing
-/// the shared [`Instrumented`] contract (see `millipede_engine::instrument`).
-struct Model<'a> {
-    cores: &'a [Core],
-    mc: &'a MemoryController,
-    stats: &'a CoreStats,
-    /// L1 misses replayed for fast-forwarded edges so far (stalled
-    /// contexts re-probe their missing block every cycle).
+/// One SSMC processor's simulated state, driven by
+/// [`millipede_engine::drive`].
+struct Processor<'a> {
+    cfg: &'a SsmcConfig,
+    decoded: Arc<DecodedProgram>,
+    image: InputImage,
+    /// `log2(row_bytes)` when rows are a power of two: row division is on
+    /// the demand-probe path, so the shift is hoisted (divide otherwise).
+    row_shift: Option<u32>,
+    row_bytes: u64,
+    slab_bytes: u64,
+    threads: Threads,
+    cores: Vec<Core>,
+    mc: MemoryController,
+    stats: CoreStats,
+    halted: usize,
+    total_threads: usize,
+    /// L1 misses the skipped edges would have re-counted (stalled
+    /// contexts re-probe their missing block every cycle); folded into
+    /// `stats.l1_misses` at the end so fast-forward stays bit-exact.
     ff_l1_misses: u64,
-    /// L1 misses one quiescent edge re-counts right now.
-    miss_delta: u64,
-    slots_per_cycle: u64,
+    /// Per-retry-edge recounts of the last compute edge (L1 misses only).
+    deltas: ReplayDeltas,
 }
 
-impl Instrumented for Model<'_> {
+impl Processor<'_> {
+    fn l1_misses(&self) -> u64 {
+        self.cores.iter().map(|c| c.l1.stats().misses).sum()
+    }
+}
+
+impl Instrumented for Processor<'_> {
     fn prefix(&self) -> &'static str {
         "ssmc"
     }
@@ -207,9 +222,8 @@ impl Instrumented for Model<'_> {
 
     fn sample_epoch(&self, tel: &mut Telemetry, due: u64, at: TimePs, rewind: u64) {
         let hits: u64 = self.cores.iter().map(|c| c.l1.stats().hits).sum();
-        let l1_misses: u64 = self.cores.iter().map(|c| c.l1.stats().misses).sum();
-        let misses = l1_misses + self.ff_l1_misses - self.miss_delta * rewind;
-        let slots = rewind * self.slots_per_cycle;
+        let misses = self.l1_misses() + self.ff_l1_misses - self.deltas.misses * rewind;
+        let slots = rewind * self.cfg.cores as u64;
         tel.counter("ssmc::l1", "hits", due, at, hits as f64);
         tel.counter("ssmc::l1", "misses", due, at, misses as f64);
         tel.counter(
@@ -244,6 +258,73 @@ impl Instrumented for Model<'_> {
     }
 }
 
+impl TimingModel for Processor<'_> {
+    fn mc(&mut self) -> &mut MemoryController {
+        &mut self.mc
+    }
+
+    fn stats(&mut self) -> &mut CoreStats {
+        &mut self.stats
+    }
+
+    fn finished(&self) -> bool {
+        self.halted == self.total_threads
+    }
+
+    fn compute_edge(
+        &mut self,
+        now: TimePs,
+        _cycle: u64,
+        _clock: &mut DualClock,
+        _tel: &mut Telemetry,
+    ) -> bool {
+        let misses_before = self.l1_misses();
+        let mut any_issued = false;
+        for c in 0..self.cfg.cores {
+            self.stats.issue_slots += 1;
+            if self.core_tick(c, now) {
+                any_issued = true;
+            } else {
+                self.stats.stall_slots += 1;
+            }
+        }
+        self.deltas.misses = self.l1_misses() - misses_before;
+        any_issued
+    }
+
+    fn replay(&mut self, skipped: u64) {
+        self.ff_l1_misses += self.deltas.misses * skipped;
+    }
+
+    // Completion tags: core index (slab fills are per-core).
+    fn on_completion(&mut self, comp: Completion) {
+        let ci = comp.tag as usize;
+        let core = &mut self.cores[ci];
+        let block = comp.addr;
+        core.l1.fill(block);
+        core.mshr.complete(block);
+        // The fill ends the guaranteed-re-miss regime for any context
+        // stalled on this block (see `Threads::stall_fast`).
+        for x in 0..self.cfg.contexts {
+            if self.threads.stall_fast.get(ci, x) && *self.threads.stall_block.get(ci, x) == block {
+                self.threads.stall_fast.set(ci, x, false);
+            }
+        }
+    }
+
+    // A fill frees an MSHR and a CAS issue frees a queue slot; either can
+    // unblock a resource-parked prefetch pump.
+    fn channel_edge_done(&mut self, _now: TimePs, room: bool) {
+        if room {
+            for core in &mut self.cores {
+                if core.pf_parked == PfPark::Resource {
+                    core.pf_parked = PfPark::Ready;
+                }
+            }
+        }
+    }
+}
+
 /// Runs `workload` to completion on one SSMC processor.
 ///
 /// # Panics
@@ -267,9 +348,6 @@ pub fn run(workload: &Workload, cfg: &SsmcConfig) -> NodeResult {
         cfg.l1_block
     );
     let total_rows = layout.total_rows();
-    let program = workload.program.clone();
-    let decoded = DecodedProgram::of(&program);
-    let image = workload.dataset.image.clone();
 
     // Input share of the L1: whatever the live state leaves, rounded down
     // to whole sets.
@@ -285,221 +363,65 @@ pub fn run(workload: &Workload, cfg: &SsmcConfig) -> NodeResult {
         .prefetch_degree
         .unwrap_or((input_capacity / cfg.l1_block).saturating_sub(4).max(2));
 
-    let mut cores: Vec<Core> = (0..cfg.cores)
-        .map(|_| Core {
-            rr: 0,
-            l1: Cache::new(input_capacity, cfg.l1_assoc, cfg.l1_block),
-            mshr: Mshr::new(cfg.mshrs),
-            pf: SlabPrefetcher {
-                next_row: 0,
-                end_row: total_rows,
-                degree,
-            },
-            pf_parked: PfPark::Ready,
-            demand_row: 0,
-        })
-        .collect();
-    let mut threads = Threads {
-        t: Arena2::from_fn(cfg.cores, cfg.contexts, |c, x| {
-            workload.make_ctx(&grid, c, x)
-        }),
-        done: FlagGrid::new(cfg.cores, cfg.contexts),
-        stalled: FlagGrid::new(cfg.cores, cfg.contexts),
-        burst: Arena2::from_fn(cfg.cores, cfg.contexts, |_, _| 0u32),
-        stall_fast: FlagGrid::new(cfg.cores, cfg.contexts),
-        stall_block: Arena2::from_fn(cfg.cores, cfg.contexts, |_, _| 0u64),
+    let mut p = Processor {
+        cfg,
+        decoded: DecodedProgram::of(&workload.program),
+        image: workload.dataset.image.clone(),
+        row_shift: row_bytes
+            .is_power_of_two()
+            .then(|| row_bytes.trailing_zeros()),
+        row_bytes,
+        slab_bytes,
+        threads: Threads {
+            t: Arena2::from_fn(cfg.cores, cfg.contexts, |c, x| {
+                workload.make_ctx(&grid, c, x)
+            }),
+            done: FlagGrid::new(cfg.cores, cfg.contexts),
+            stalled: FlagGrid::new(cfg.cores, cfg.contexts),
+            burst: Arena2::from_fn(cfg.cores, cfg.contexts, |_, _| 0u32),
+            stall_fast: FlagGrid::new(cfg.cores, cfg.contexts),
+            stall_block: Arena2::from_fn(cfg.cores, cfg.contexts, |_, _| 0u64),
+        },
+        cores: (0..cfg.cores)
+            .map(|_| Core {
+                rr: 0,
+                l1: Cache::new(input_capacity, cfg.l1_assoc, cfg.l1_block),
+                mshr: Mshr::new(cfg.mshrs),
+                pf: SlabPrefetcher {
+                    next_row: 0,
+                    end_row: total_rows,
+                    degree,
+                },
+                pf_parked: PfPark::Ready,
+                demand_row: 0,
+            })
+            .collect(),
+        mc: MemoryController::with_capacity(cfg.geometry, cfg.timing, cfg.dram_queue),
+        stats: CoreStats::default(),
+        halted: 0,
+        total_threads: cfg.cores * cfg.contexts,
+        ff_l1_misses: 0,
+        deltas: ReplayDeltas::default(),
     };
-    // Row division is on the demand-probe path; layouts use power-of-two
-    // rows in practice, so hoist the shift (divide fallback otherwise).
-    let row_shift: Option<u32> = row_bytes
-        .is_power_of_two()
-        .then(|| row_bytes.trailing_zeros());
-
-    let mut mc = MemoryController::with_capacity(cfg.geometry, cfg.timing, cfg.dram_queue);
-    let mut wheel = EventWheel::new(
+    let mut tel = Telemetry::new(&cfg.telemetry);
+    let end = drive(
+        &mut p,
         DualClock::new(
             period_ps_for_mhz(cfg.compute_mhz),
             cfg.timing.channel_period_ps,
         ),
-        cfg.scheduler,
+        &mut tel,
+        DriveConfig {
+            label: "SSMC",
+            slots_per_cycle: cfg.cores as u64,
+            max_idle_cycles: cfg.max_idle_cycles,
+            fast_forward: cfg.fast_forward,
+            row_bytes,
+        },
     );
-    let mc_wake = wheel.register();
-    let slots_per_cycle = cfg.cores as u64;
-    let mut quiesce = Quiescence::new("SSMC", slots_per_cycle, cfg.max_idle_cycles);
 
-    let mut stats = CoreStats::default();
-    let total_threads = cfg.cores * cfg.contexts;
-    let mut halted = 0usize;
-    let mut cycle: u64 = 0;
-    let mut last_time: TimePs = 0;
-    // L1 misses the skipped edges would have re-counted (stalled contexts
-    // re-probe their missing block every cycle); folded into
-    // `stats.l1_misses` at the end so fast-forward stays bit-exact.
-    let mut ff_l1_misses: u64 = 0;
-    let mut tel = Telemetry::new(&cfg.telemetry);
-
-    let l1_misses = |cores: &[Core]| -> u64 { cores.iter().map(|c| c.l1.stats().misses).sum() };
-
-    // Completion tags: core index (slab fills are per-core).
-    while halted < total_threads {
-        if wheel.kind().is_wheel() {
-            wheel.post(mc_wake, mc.next_event_at());
-        }
-        match wheel.pop() {
-            Edge::Compute(now) => {
-                last_time = now;
-                cycle += 1;
-                let fp_before = Model {
-                    cores: &cores,
-                    mc: &mc,
-                    stats: &stats,
-                    ff_l1_misses,
-                    miss_delta: 0,
-                    slots_per_cycle,
-                }
-                .fingerprint();
-                let misses_before = l1_misses(&cores);
-                let mut any_issued = false;
-                for c in 0..cfg.cores {
-                    stats.issue_slots += 1;
-                    if core_tick(
-                        c,
-                        now,
-                        cfg,
-                        &decoded,
-                        &image,
-                        row_shift,
-                        row_bytes,
-                        slab_bytes,
-                        &mut threads,
-                        &mut cores,
-                        &mut mc,
-                        &mut stats,
-                        &mut halted,
-                    ) {
-                        any_issued = true;
-                    } else {
-                        stats.stall_slots += 1;
-                    }
-                }
-                quiesce.note_edge(any_issued);
-                let pre_ff_cycle = cycle;
-                let miss_delta = l1_misses(&cores) - misses_before;
-                let fp_after = Model {
-                    cores: &cores,
-                    mc: &mc,
-                    stats: &stats,
-                    ff_l1_misses,
-                    miss_delta,
-                    slots_per_cycle,
-                }
-                .fingerprint();
-                if cfg.fast_forward && !any_issued && fp_after == fp_before {
-                    let skipped = quiesce.quiesce(
-                        &mut wheel,
-                        mc.next_event_at(),
-                        mc.free_slots(),
-                        ReplayDeltas {
-                            misses: miss_delta,
-                            ..ReplayDeltas::default()
-                        },
-                        now,
-                        &mut cycle,
-                        &mut stats,
-                    );
-                    ff_l1_misses += miss_delta * skipped;
-                }
-                // Telemetry epoch sampling (observational only). Boundaries
-                // inside a fast-forwarded region are reconstructed exactly:
-                // skipped edges are proven no-ops, so only the replayed
-                // per-cycle counters (slots, L1 miss recounting) are rewound
-                // linearly to the boundary.
-                if tel.enabled() {
-                    Model {
-                        cores: &cores,
-                        mc: &mc,
-                        stats: &stats,
-                        ff_l1_misses,
-                        miss_delta,
-                        slots_per_cycle,
-                    }
-                    .emit_epoch_samples(
-                        &mut tel,
-                        cycle,
-                        pre_ff_cycle,
-                        now,
-                        wheel.compute_period(),
-                    );
-                }
-            }
-            Edge::Channel(now) => {
-                // Replay the accounting for compute edges the wheel slept
-                // through (poll mode never sleeps, so this drains zero).
-                if let Some((skipped, s)) = quiesce.drain(&mut wheel, &mut cycle, &mut stats) {
-                    ff_l1_misses += s.deltas.misses * skipped;
-                    if tel.enabled() {
-                        Model {
-                            cores: &cores,
-                            mc: &mc,
-                            stats: &stats,
-                            ff_l1_misses,
-                            miss_delta: s.deltas.misses,
-                            slots_per_cycle,
-                        }
-                        .emit_epoch_samples(
-                            &mut tel,
-                            cycle,
-                            s.anchor_cycle,
-                            s.anchor_now,
-                            wheel.compute_period(),
-                        );
-                    }
-                }
-                last_time = now;
-                let free_before = mc.free_slots();
-                mc.tick(now);
-                let completions = mc.pop_completed(now);
-                let fills = completions.len();
-                for comp in completions {
-                    if !comp.row_hit {
-                        tel.event(
-                            "dram::controller",
-                            "row_conflict",
-                            cycle,
-                            now,
-                            (comp.addr / row_bytes) as f64,
-                        );
-                    }
-                    let ci = comp.tag as usize;
-                    let core = &mut cores[ci];
-                    let block = comp.addr;
-                    core.l1.fill(block);
-                    core.mshr.complete(block);
-                    // The fill ends the guaranteed-re-miss regime for any
-                    // context stalled on this block (see `Threads::stall_fast`).
-                    for x in 0..cfg.contexts {
-                        if threads.stall_fast.get(ci, x) && *threads.stall_block.get(ci, x) == block
-                        {
-                            threads.stall_fast.set(ci, x, false);
-                        }
-                    }
-                }
-                // A fill frees an MSHR and a CAS issue frees a queue slot;
-                // either can unblock a resource-parked prefetch pump.
-                if fills > 0 || mc.free_slots() > free_before {
-                    for core in &mut cores {
-                        if core.pf_parked == PfPark::Resource {
-                            core.pf_parked = PfPark::Ready;
-                        }
-                    }
-                }
-                quiesce.maybe_wake(&mut wheel, fills, mc.free_slots());
-            }
-        }
-    }
-
-    stats.compute_cycles = cycle;
-    let states: Vec<&[u32]> = threads
+    let states: Vec<&[u32]> = p
+        .threads
         .t
         .as_slice()
         .iter()
@@ -507,127 +429,125 @@ pub fn run(workload: &Workload, cfg: &SsmcConfig) -> NodeResult {
         .collect();
     let output = workload.reduce(&states);
     let output_ok = output == workload.reference(&grid);
-    for core in &cores {
-        stats.l1_hits += core.l1.stats().hits;
-        stats.l1_misses += core.l1.stats().misses;
+    for core in &p.cores {
+        p.stats.l1_hits += core.l1.stats().hits;
+        p.stats.l1_misses += core.l1.stats().misses;
     }
-    stats.l1_misses += ff_l1_misses;
-    Model {
-        cores: &cores,
-        mc: &mc,
-        stats: &stats,
-        ff_l1_misses,
-        miss_delta: 0,
-        slots_per_cycle,
-    }
-    .assert_clean();
+    p.stats.l1_misses += p.ff_l1_misses;
+    p.assert_clean();
     NodeResult {
-        stats,
-        dram: mc.stats().clone(),
-        elapsed_ps: last_time,
+        stats: p.stats,
+        dram: p.mc.stats().clone(),
+        elapsed_ps: end.elapsed_ps,
         output,
         output_ok,
         telemetry: tel,
-        profile: wheel.profile(),
     }
 }
 
-/// One issue attempt for core `c`; returns whether an instruction issued.
-#[allow(clippy::too_many_arguments)]
-fn core_tick(
-    c: usize,
-    now: TimePs,
-    cfg: &SsmcConfig,
-    decoded: &DecodedProgram,
-    image: &millipede_mem::InputImage,
-    row_shift: Option<u32>,
-    row_bytes: u64,
-    slab_bytes: u64,
-    threads: &mut Threads,
-    cores: &mut [Core],
-    mc: &mut MemoryController,
-    stats: &mut CoreStats,
-    halted: &mut usize,
-) -> bool {
-    // Keep the slab prefetcher running off the leading context's position.
-    pump_prefetch(c, now, row_bytes, slab_bytes, cores, mc, stats);
+impl Processor<'_> {
+    /// One issue attempt for core `c`; returns whether an instruction
+    /// issued.
+    fn core_tick(&mut self, c: usize, now: TimePs) -> bool {
+        let Processor {
+            cfg,
+            decoded,
+            image,
+            row_shift,
+            row_bytes,
+            slab_bytes,
+            threads,
+            cores,
+            mc,
+            stats,
+            halted,
+            ..
+        } = self;
+        let (cfg, row_shift, row_bytes, slab_bytes) = (*cfg, *row_shift, *row_bytes, *slab_bytes);
+        // Plain shared borrows and a slice, so the hot scan sees read-only
+        // program/image data and a fixed-length core table.
+        let (decoded, image, cores): (&DecodedProgram, &InputImage, &mut [Core]) =
+            (decoded, image, cores);
+        // Keep the slab prefetcher running off the leading context's position.
+        pump_prefetch(c, now, row_bytes, slab_bytes, cores, mc, stats);
 
-    // Whole-core early-out: a core whose contexts all halted scans nothing
-    // (its prefetcher may still be draining the tail of the stream above).
-    if threads.done.all_set(c) {
-        return false;
-    }
-    for k in 0..cfg.contexts {
-        // `rr + k < 2 × contexts`, so a conditional subtract replaces the
-        // hardware divide a `%` would cost on this per-cycle path.
-        let mut x = cores[c].rr + k;
-        if x >= cfg.contexts {
-            x -= cfg.contexts;
+        // Whole-core early-out: a core whose contexts all halted scans nothing
+        // (its prefetcher may still be draining the tail of the stream above).
+        if threads.done.all_set(c) {
+            return false;
         }
-        if threads.done.get(c, x) {
-            continue;
-        }
-        if threads.stall_fast.get(c, x) {
-            // Stalled on an in-flight fill: the full probe would recount
-            // one L1 miss and change nothing else, so replay just that.
-            cores[c].l1.recount_miss();
-            continue;
-        }
-        // Charge one banked burst cycle: the instructions already executed
-        // functionally, so the context always issues until credits drain.
-        {
-            let credits = threads.burst.get_mut(c, x);
-            if *credits > 0 {
-                *credits -= 1;
-                stats.instructions += 1;
-                stats.issues += 1;
-                cores[c].rr = if x + 1 == cfg.contexts { 0 } else { x + 1 };
-                return true;
+        for k in 0..cfg.contexts {
+            // `rr + k < 2 × contexts`, so a conditional subtract replaces the
+            // hardware divide a `%` would cost on this per-cycle path.
+            let mut x = cores[c].rr + k;
+            if x >= cfg.contexts {
+                x -= cfg.contexts;
             }
-        }
-        if decoded.access_class(threads.t.get(c, x).pc) == AccessClass::InputLoad {
-            let addr = decoded.mem_addr_at(threads.t.get(c, x));
-            let core = &mut cores[c];
-            let drow = match row_shift {
-                Some(s) => addr >> s,
-                None => addr / row_bytes,
-            };
-            core.demand_row = core.demand_row.max(drow);
-            if core.l1.access(addr) {
-                commit(c, x, threads, decoded, image, stats, halted, Some(addr));
-                cores[c].rr = if x + 1 == cfg.contexts { 0 } else { x + 1 };
-                return true;
+            if threads.done.get(c, x) {
+                continue;
             }
-            // Miss: merge into an in-flight fill or start a demand fetch.
-            let block = addr & !(slab_bytes - 1);
-            if !core.mshr.pending(block) && !core.mshr.is_full() {
-                let req = Request {
-                    addr: block,
-                    bytes: slab_bytes,
-                    tag: c as u64,
-                };
-                if mc.try_push(req, now).is_ok() {
-                    core.mshr.allocate(block, x as u64);
-                    stats.demand_fetches += 1;
+            if threads.stall_fast.get(c, x) {
+                // Stalled on an in-flight fill: the full probe would recount
+                // one L1 miss and change nothing else, so replay just that.
+                cores[c].l1.recount_miss();
+                continue;
+            }
+            // Charge one banked burst cycle: the instructions already executed
+            // functionally, so the context always issues until credits drain.
+            {
+                let credits = threads.burst.get_mut(c, x);
+                if *credits > 0 {
+                    *credits -= 1;
+                    stats.instructions += 1;
+                    stats.issues += 1;
+                    cores[c].rr = if x + 1 == cfg.contexts { 0 } else { x + 1 };
+                    return true;
                 }
             }
-            if !threads.stalled.get(c, x) {
-                threads.stalled.set(c, x, true);
-                stats.demand_stalls += 1;
+            if decoded.access_class(threads.t.get(c, x).pc) == AccessClass::InputLoad {
+                let addr = decoded.mem_addr_at(threads.t.get(c, x));
+                let core = &mut cores[c];
+                let drow = match row_shift {
+                    Some(s) => addr >> s,
+                    None => addr / row_bytes,
+                };
+                core.demand_row = core.demand_row.max(drow);
+                if core.l1.access(addr) {
+                    commit(c, x, threads, decoded, image, stats, halted, Some(addr));
+                    cores[c].rr = if x + 1 == cfg.contexts { 0 } else { x + 1 };
+                    return true;
+                }
+                // Miss: merge into an in-flight fill or start a demand fetch.
+                let block = addr & !(slab_bytes - 1);
+                if !core.mshr.pending(block) && !core.mshr.is_full() {
+                    let req = Request {
+                        addr: block,
+                        bytes: slab_bytes,
+                        tag: c as u64,
+                    };
+                    if mc.try_push(req, now).is_ok() {
+                        core.mshr.allocate(block, x as u64);
+                        stats.demand_fetches += 1;
+                    }
+                }
+                if !threads.stalled.get(c, x) {
+                    threads.stalled.set(c, x, true);
+                    stats.demand_stalls += 1;
+                }
+                if core.mshr.pending(block) {
+                    // Fill in flight (just allocated, merged, or a racing
+                    // prefetch): retries are pure re-misses until it lands.
+                    threads.stall_fast.set(c, x, true);
+                    *threads.stall_block.get_mut(c, x) = block;
+                }
+                continue;
             }
-            if core.mshr.pending(block) {
-                // Fill in flight (just allocated, merged, or a racing
-                // prefetch): retries are pure re-misses until it lands.
-                threads.stall_fast.set(c, x, true);
-                *threads.stall_block.get_mut(c, x) = block;
-            }
-            continue;
+            commit(c, x, threads, decoded, image, stats, halted, None);
+            cores[c].rr = if x + 1 == cfg.contexts { 0 } else { x + 1 };
+            return true;
         }
-        commit(c, x, threads, decoded, image, stats, halted, None);
-        cores[c].rr = if x + 1 == cfg.contexts { 0 } else { x + 1 };
-        return true;
+        false
     }
-    false
 }
 
 /// Issues slab prefetches for core `c` up to its lookahead, as MSHR and
@@ -818,38 +738,6 @@ mod tests {
             assert_eq!(fast.dram, slow.dram, "{bench:?}: DRAM stats diverged");
             assert_eq!(fast.elapsed_ps, slow.elapsed_ps);
             assert_eq!(fast.output, slow.output);
-        }
-    }
-
-    #[test]
-    fn event_wheel_is_bit_exact() {
-        for bench in [Benchmark::Count, Benchmark::Variance] {
-            for ff in [false, true] {
-                let w = small(bench);
-                let mk = |scheduler| SsmcConfig {
-                    fast_forward: ff,
-                    scheduler,
-                    ..SsmcConfig::default()
-                };
-                let poll = run(&w, &mk(SchedulerKind::Poll));
-                let wheel = run(&w, &mk(SchedulerKind::Wheel));
-                // The wheel sleeps through edges poll merely polls between
-                // hops, so the skip counter is the one legitimate
-                // difference; everything else must be bit-identical.
-                let mut ps = poll.stats.clone();
-                let mut ws = wheel.stats.clone();
-                ps.ff_skipped_cycles = 0;
-                ws.ff_skipped_cycles = 0;
-                assert_eq!(ws, ps, "{bench:?} ff={ff}: stats diverged");
-                assert_eq!(wheel.dram, poll.dram, "{bench:?} ff={ff}: DRAM diverged");
-                assert_eq!(wheel.elapsed_ps, poll.elapsed_ps, "{bench:?} ff={ff}");
-                assert_eq!(wheel.output, poll.output, "{bench:?} ff={ff}");
-                if !ff {
-                    // Without fast-forward the wheel only masks channel
-                    // edges; it must not skip any compute edges.
-                    assert_eq!(wheel.stats.ff_skipped_cycles, 0, "{bench:?}");
-                }
-            }
         }
     }
 

@@ -1,30 +1,29 @@
-//! Scheduler wall-clock benchmark: the fixed sweep behind `BENCH_*.json`.
+//! Wall-clock benchmark: the fixed sweep behind `BENCH_*.json`.
 //!
-//! Runs every point of a fixed sweep under both main-loop schedulers
-//! (`poll` and `wheel`), checks their determinism digests agree, and
-//! writes per-point wall-times as JSON in the `millipede-bench/2` schema
-//! (documented in EXPERIMENTS.md). The sweep itself is deterministic —
-//! fixed points, fixed seeds, median of N runs — so regenerating the
-//! file changes only the measured times, never the shape.
+//! Times every point of a fixed sweep on the shipping engine (the driver
+//! loop with idle-cycle fast-forward on) and writes per-point wall-times
+//! as JSON in the `millipede-bench/3` schema (documented in
+//! EXPERIMENTS.md). The sweep itself is deterministic — fixed points,
+//! fixed seeds, median of N runs — so regenerating the file changes only
+//! the measured times, never the shape. The `poll_*` names are kept from
+//! schema /2, so `millipede-cli report --check` joins /2 and /3 baselines
+//! on the same `poll_median_ms` key.
 //!
-//! `--baseline FILE` points at a previous sweep (`millipede-bench/1` or
-//! `/2`); every current point whose label appears there additionally
-//! reports the baseline medians and the wall-clock speedup against them,
-//! which is how the predecoded-interpreter PR documents its win over the
-//! BENCH_7 numbers.
+//! `--baseline FILE` points at a previous sweep (`millipede-bench/1`, `/2`
+//! or `/3`); every current point whose label appears there additionally
+//! reports the baseline median and the wall-clock speedup against it.
 //!
 //! The designated idle-heavy point (a bandwidth-starved Millipede node:
 //! 8-bit DRAM channel, one context per corelet, so every row takes ~4×
-//! longer to arrive than it takes to consume) is additionally timed
-//! against the per-edge polling baseline (`poll` with fast-forward
-//! disabled — the engine the wheel replaced, which walks every clock
-//! edge). Results are bit-identical across all three engines, so the
-//! comparison is apples-to-apples.
+//! longer to arrive than it takes to consume) is additionally timed with
+//! fast-forward off, the per-edge oracle that walks every clock edge.
+//! Both must give bit-identical results, so the comparison is
+//! apples-to-apples; the binary exits nonzero if they ever disagree.
 //!
 //! `--manifest-out FILE` additionally writes a `millipede-manifest/1`
-//! JSON covering the standard points (both schedulers, median wall per
-//! point) with full per-run metrics and host self-profiling; the
-//! idle-heavy point runs outside the shared driver and is not included.
+//! JSON covering the standard points (median wall per point) with full
+//! per-run metrics and host self-profiling; the idle-heavy point runs
+//! outside the shared driver and is not included.
 //!
 //! ```text
 //! millipede-bench [--runs N] [--out FILE] [--baseline FILE] [--manifest-out FILE]
@@ -34,9 +33,7 @@ use millipede::core_arch::{self, MillipedeConfig, NodeResult};
 use millipede::dram::DramTiming;
 use millipede::metrics::SelfProfile;
 use millipede::sim::manifest::{self, ManifestRun};
-use millipede::sim::{
-    digest_run, run_one, Arch, RunResult, SchedulerKind, SimConfig, TelemetryConfig,
-};
+use millipede::sim::{run_one, Arch, RunResult, SimConfig, TelemetryConfig};
 use millipede::workloads::{Benchmark, Workload};
 use std::time::Instant;
 
@@ -138,7 +135,7 @@ const IDLE_HEAVY_CHUNKS: usize = 128;
 /// row in 2048 channel cycles (~1.7 µs) while a single context per
 /// corelet consumes it in a fraction of that, so the compute domain
 /// spends most of simulated time quiescent, waiting on fills.
-fn idle_heavy_config(scheduler: SchedulerKind, fast_forward: bool) -> MillipedeConfig {
+fn idle_heavy_config(fast_forward: bool) -> MillipedeConfig {
     MillipedeConfig {
         corelets: 64,
         contexts: 1,
@@ -147,7 +144,6 @@ fn idle_heavy_config(scheduler: SchedulerKind, fast_forward: bool) -> MillipedeC
             ..DramTiming::default()
         },
         fast_forward,
-        scheduler,
         ..MillipedeConfig::no_rate_match()
     }
 }
@@ -165,14 +161,13 @@ fn time_runs<R>(runs: usize, mut run: impl FnMut() -> R) -> (Vec<f64>, R) {
     (ms, last.expect("runs >= 1"))
 }
 
-/// Times one standard point under one scheduler. Both schedulers run with
-/// fast-forward on (the shipping default). Returns per-run wall-times and
-/// the last run's full result (for the digest and the manifest).
-fn measure(p: &Point, scheduler: SchedulerKind, runs: usize) -> (Vec<f64>, RunResult) {
+/// Times one standard point with fast-forward on (the shipping default).
+/// Returns per-run wall-times and the last run's full result (for the
+/// manifest).
+fn measure(p: &Point, runs: usize) -> (Vec<f64>, RunResult) {
     let cfg = SimConfig {
         num_chunks: p.chunks,
         fast_forward: true,
-        scheduler,
         // Pin the observational knobs so ambient MILLIPEDE_* variables
         // cannot skew the comparison.
         telemetry: TelemetryConfig::default(),
@@ -181,19 +176,15 @@ fn measure(p: &Point, scheduler: SchedulerKind, runs: usize) -> (Vec<f64>, RunRe
     time_runs(runs, || run_one(p.arch, p.bench, &cfg))
 }
 
-/// Times the idle-heavy point under one engine configuration.
-fn measure_idle_heavy(
-    scheduler: SchedulerKind,
-    fast_forward: bool,
-    runs: usize,
-) -> (Vec<f64>, NodeResult) {
-    let cfg = idle_heavy_config(scheduler, fast_forward);
+/// Times the idle-heavy point with fast-forward on or off.
+fn measure_idle_heavy(fast_forward: bool, runs: usize) -> (Vec<f64>, NodeResult) {
+    let cfg = idle_heavy_config(fast_forward);
     let w = Workload::build(Benchmark::Count, IDLE_HEAVY_CHUNKS, 2048, 42);
     time_runs(runs, || core_arch::run(&w, &cfg))
 }
 
 /// Bit-equality of two runs' observable results (`ff_skipped_cycles` is
-/// schedule-dependent bookkeeping, excluded exactly as in the digests).
+/// skip bookkeeping, excluded exactly as in the digests).
 fn same_result(a: &NodeResult, b: &NodeResult) -> bool {
     let mut sa = a.stats.clone();
     let mut sb = b.stats.clone();
@@ -213,27 +204,23 @@ fn fmt_ms_list(ms: &[f64]) -> String {
     format!("[{}]", items.join(", "))
 }
 
-/// Extracts `(poll_median_ms, wheel_median_ms)` for the point labelled
-/// `label` from a prior sweep's JSON text. The bench files are written by
-/// this binary in a fixed shape, so a targeted scan (find the label, read
-/// the two keys before the next label) is all the parsing needed — the
-/// workspace deliberately has no JSON dependency.
-fn baseline_medians(doc: &str, label: &str) -> Option<(f64, f64)> {
+/// Extracts `poll_median_ms` for the point labelled `label` from a prior
+/// sweep's JSON text. The bench files are written by this binary in a
+/// fixed shape, so a targeted scan (find the label, read the key before
+/// the next label) is all the parsing needed.
+fn baseline_median(doc: &str, label: &str) -> Option<f64> {
     let needle = format!("\"label\": \"{label}\"");
     let start = doc.find(&needle)?;
     let scope_all = &doc[start + needle.len()..];
     let scope_end = scope_all.find("\"label\":").unwrap_or(scope_all.len());
     let scope = &scope_all[..scope_end];
-    let grab = |key: &str| -> Option<f64> {
-        let k = format!("\"{key}\":");
-        let tail = scope[scope.find(&k)? + k.len()..].trim_start();
-        let num: String = tail
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-            .collect();
-        num.parse().ok()
-    };
-    Some((grab("poll_median_ms")?, grab("wheel_median_ms")?))
+    let k = "\"poll_median_ms\":";
+    let tail = scope[scope.find(k)? + k.len()..].trim_start();
+    let num: String = tail
+        .chars()
+        .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
+        .collect();
+    num.parse().ok()
 }
 
 fn main() {
@@ -295,75 +282,53 @@ fn main() {
 
     prof.begin("run");
     let mut entries: Vec<String> = Vec::new();
-    // (result, median wall, chunks, scheduler) per standard point and
-    // scheduler, for the optional run manifest.
-    let mut manifest_points: Vec<(RunResult, f64, usize, SchedulerKind)> = Vec::new();
-    let mut all_match = true;
+    // (result, median wall, chunks) per standard point, for the optional
+    // run manifest.
+    let mut manifest_points: Vec<(RunResult, f64, usize)> = Vec::new();
     for p in &POINTS {
         eprintln!("bench: {} ...", p.label);
-        let (poll_ms, poll_r) = measure(p, SchedulerKind::Poll, runs);
-        let (wheel_ms, wheel_r) = measure(p, SchedulerKind::Wheel, runs);
-        let digests_match = digest_run(&poll_r) == digest_run(&wheel_r);
-        all_match &= digests_match;
-        let poll_med = median(&poll_ms);
-        let wheel_med = median(&wheel_ms);
-        manifest_points.push((poll_r, poll_med, p.chunks, SchedulerKind::Poll));
-        manifest_points.push((wheel_r, wheel_med, p.chunks, SchedulerKind::Wheel));
-        let speedup = poll_med / wheel_med;
+        let (ms, r) = measure(p, runs);
+        let med = median(&ms);
+        manifest_points.push((r, med, p.chunks));
         let baseline = baseline_doc
             .as_deref()
-            .and_then(|doc| baseline_medians(doc, p.label));
+            .and_then(|doc| baseline_median(doc, p.label));
         let baseline_fields = match baseline {
-            Some((bp, bw)) => format!(
-                "      \"baseline_poll_median_ms\": {bp:.3},\n      \
-                 \"baseline_wheel_median_ms\": {bw:.3},\n      \
-                 \"speedup_vs_baseline_poll\": {:.3},\n      \
-                 \"speedup_vs_baseline_wheel\": {:.3},\n",
-                bp / poll_med,
-                bw / wheel_med,
+            Some(b) => format!(
+                "      \"baseline_poll_median_ms\": {b:.3},\n      \
+                 \"speedup_vs_baseline_poll\": {:.3},\n",
+                b / med,
             ),
             None => String::new(),
         };
         entries.push(format!(
             "    {{\n      \"label\": \"{}\",\n      \"arch\": \"{}\",\n      \
              \"bench\": \"{}\",\n      \"chunks\": {},\n      \"corelets\": 32,\n      \
-             \"contexts\": 4,\n      \"poll_ms\": {},\n      \"wheel_ms\": {},\n      \
-             \"poll_median_ms\": {poll_med:.3},\n      \"wheel_median_ms\": {wheel_med:.3},\n      \
-             \"speedup\": {speedup:.3},\n{baseline_fields}      \
-             \"digests_match\": {digests_match}\n    }}",
+             \"contexts\": 4,\n{baseline_fields}      \"poll_ms\": {},\n      \
+             \"poll_median_ms\": {med:.3}\n    }}",
             p.label,
             p.arch_name,
             p.bench.name(),
             p.chunks,
-            fmt_ms_list(&poll_ms),
-            fmt_ms_list(&wheel_ms),
+            fmt_ms_list(&ms),
         ));
         let vs_baseline = match baseline {
-            Some((bp, bw)) => format!(", {:.2}x/{:.2}x vs baseline", bp / poll_med, bw / wheel_med),
+            Some(b) => format!(" ({:.2}x vs baseline)", b / med),
             None => String::new(),
         };
-        eprintln!(
-            "bench: {}: poll {poll_med:.1} ms, wheel {wheel_med:.1} ms ({speedup:.2}x){vs_baseline}, digests {}",
-            p.label,
-            if digests_match { "match" } else { "MISMATCH" }
-        );
+        eprintln!("bench: {}: {med:.1} ms{vs_baseline}", p.label);
     }
 
     eprintln!("bench: idle-heavy-low-bandwidth ...");
-    let (poll_ms, poll_r) = measure_idle_heavy(SchedulerKind::Poll, true, runs);
-    let (wheel_ms, wheel_r) = measure_idle_heavy(SchedulerKind::Wheel, true, runs);
-    let (edge_ms, edge_r) = measure_idle_heavy(SchedulerKind::Poll, false, runs);
-    let digests_match = same_result(&poll_r, &wheel_r) && same_result(&edge_r, &wheel_r);
-    all_match &= digests_match;
-    let poll_med = median(&poll_ms);
-    let wheel_med = median(&wheel_ms);
+    let (ff_ms, ff_r) = measure_idle_heavy(true, runs);
+    let (edge_ms, edge_r) = measure_idle_heavy(false, runs);
+    let digests_match = same_result(&ff_r, &edge_r);
+    let ff_med = median(&ff_ms);
     let edge_med = median(&edge_ms);
-    let speedup = poll_med / wheel_med;
-    let vs_edge = edge_med / wheel_med;
+    let vs_edge = edge_med / ff_med;
     eprintln!(
-        "bench: idle-heavy-low-bandwidth: per-edge poll {edge_med:.1} ms, ff poll \
-         {poll_med:.1} ms, wheel {wheel_med:.1} ms ({vs_edge:.2}x vs per-edge, \
-         {speedup:.2}x vs ff poll), digests {}",
+        "bench: idle-heavy-low-bandwidth: per-edge {edge_med:.1} ms, fast-forward \
+         {ff_med:.1} ms ({vs_edge:.2}x vs per-edge), digests {}",
         if digests_match { "match" } else { "MISMATCH" }
     );
 
@@ -372,15 +337,12 @@ fn main() {
          \"arch\": \"millipede-no-rate-match\",\n    \"bench\": \"count\",\n    \
          \"chunks\": {IDLE_HEAVY_CHUNKS},\n    \"corelets\": 64,\n    \"contexts\": 1,\n    \
          \"dram_width_bits\": 8,\n    \"per_edge_poll_ms\": {},\n    \
-         \"poll_ms\": {},\n    \"wheel_ms\": {},\n    \
-         \"per_edge_poll_median_ms\": {edge_med:.3},\n    \
-         \"poll_median_ms\": {poll_med:.3},\n    \"wheel_median_ms\": {wheel_med:.3},\n    \
+         \"poll_ms\": {},\n    \"per_edge_poll_median_ms\": {edge_med:.3},\n    \
+         \"poll_median_ms\": {ff_med:.3},\n    \
          \"speedup_vs_per_edge_poll\": {vs_edge:.3},\n    \
-         \"speedup_vs_fast_forward_poll\": {speedup:.3},\n    \
          \"digests_match\": {digests_match}\n  }}",
         fmt_ms_list(&edge_ms),
-        fmt_ms_list(&poll_ms),
-        fmt_ms_list(&wheel_ms),
+        fmt_ms_list(&ff_ms),
     );
 
     prof.begin("report");
@@ -389,16 +351,15 @@ fn main() {
         None => String::new(),
     };
     let json = format!(
-        "{{\n  \"schema\": \"millipede-bench/2\",\n  \"runs_per_point\": {runs},\n\
+        "{{\n  \"schema\": \"millipede-bench/3\",\n  \"runs_per_point\": {runs},\n\
          {baseline_header}  \
-         \"notes\": \"Wall-times for scheduler=poll vs scheduler=wheel (both with \
-         idle-cycle fast-forward on, the shipping default) at each point; medians over \
-         runs_per_point in-process runs. Points carrying baseline_* fields are compared \
-         against the sweep named in `baseline` (speedup_vs_baseline_* = baseline median / \
-         this median, per scheduler). The idle-heavy point is a bandwidth-starved \
-         Millipede node (8-bit DRAM channel, one context per corelet) also timed against \
-         the per-edge polling baseline (poll with fast-forward off, which walks every \
-         clock edge). All engines produce bit-identical results.\",\n{idle_entry},\n  \
+         \"notes\": \"Wall-times of the driver loop with idle-cycle fast-forward on \
+         (the shipping default) at each point; medians over runs_per_point in-process \
+         runs. Points carrying baseline_* fields are compared against the sweep named in \
+         `baseline` (speedup_vs_baseline_poll = baseline median / this median). The \
+         idle-heavy point is a bandwidth-starved Millipede node (8-bit DRAM channel, one \
+         context per corelet) also timed with fast-forward off, which walks every clock \
+         edge; both produce bit-identical results.\",\n{idle_entry},\n  \
          \"points\": [\n{}\n  ]\n}}\n",
         entries.join(",\n")
     );
@@ -414,8 +375,8 @@ fn main() {
         None => print!("{json}"),
     }
     if let Some(path) = manifest_out {
-        // The standard points share everything in SimConfig except chunks
-        // and scheduler, which each manifest run carries individually.
+        // The standard points share everything in SimConfig except chunks,
+        // which each manifest run carries individually.
         let cfg = SimConfig {
             fast_forward: true,
             telemetry: TelemetryConfig::default(),
@@ -424,11 +385,10 @@ fn main() {
         prof.end();
         let mruns: Vec<ManifestRun> = manifest_points
             .iter()
-            .map(|(r, wall_ms, chunks, scheduler)| ManifestRun {
+            .map(|(r, wall_ms, chunks)| ManifestRun {
                 result: r,
                 wall_ms: *wall_ms,
                 chunks: *chunks,
-                scheduler: *scheduler,
             })
             .collect();
         let doc = manifest::render(&cfg, &prof, 1, &mruns);
@@ -438,8 +398,8 @@ fn main() {
         }
         eprintln!("bench: wrote run manifest {path}");
     }
-    if !all_match {
-        eprintln!("bench: RESULT MISMATCH between schedulers");
+    if !digests_match {
+        eprintln!("bench: RESULT MISMATCH between fast-forward and per-edge ticking");
         std::process::exit(1);
     }
 }

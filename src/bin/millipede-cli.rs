@@ -26,6 +26,11 @@
 //! millipede-cli run my_kernel.asm --input-words 128
 //! ```
 //!
+//! A simulation exits 2 without simulating when the configuration cannot
+//! run (zero chunks, fewer than two prefetch-buffer entries, or a corelet
+//! count that does not split a row into equal slabs), printing one
+//! `invalid configuration: …` line on stderr.
+//!
 //! `verify` exits 0 when every program is clean, 1 when any diagnostic
 //! survives, and 2 on usage or I/O errors. `.asm` sources may carry
 //! `# verify-config: local-bytes=N input-bytes=N strict` directives and
@@ -554,6 +559,10 @@ fn main() {
             }
         }
         i += 1;
+    }
+    if let Err(e) = cfg.validate() {
+        eprintln!("invalid configuration: {e}");
+        std::process::exit(2);
     }
 
     prof.begin("run");

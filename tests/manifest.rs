@@ -152,13 +152,13 @@ fn synthetic_manifest(wall_ms: f64) -> String {
     format!(
         r#"{{"schema":"millipede-manifest/1","host":{{}},"runs":[
             {{"label":"Millipede/count","arch":"Millipede","bench":"count",
-             "chunks":128,"scheduler":"poll","wall_ms":{wall_ms}}}]}}"#
+             "chunks":128,"wall_ms":{wall_ms}}}]}}"#
     )
 }
 
 const SYNTHETIC_BASELINE: &str = r#"{"schema":"millipede-bench/2","points":[
     {"label":"millipede-count","arch":"millipede","bench":"count",
-     "chunks":128,"poll_median_ms":100.0,"wheel_median_ms":95.0}]}"#;
+     "chunks":128,"poll_median_ms":100.0}]}"#;
 
 #[test]
 fn report_check_exits_nonzero_on_injected_regression() {
